@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"comic/internal/graph"
 	"comic/internal/rng"
@@ -24,6 +26,13 @@ import (
 //     the same world with different seed sets implements the
 //     common-random-number comparisons used in the submodularity analysis
 //     and the RR-set correctness tests.
+//
+// An untraced run drops every inform whose target is already past Idle
+// for the item before it is queued: states never return to Idle, so
+// processing it would change nothing. A traced run (RunTrace) queues and
+// processes those informs anyway, because recording each one advances the
+// trace's global event counter, and the InformEv*/AdoptEv* stamps must
+// keep counting them.
 type Simulator struct {
 	g   *graph.Graph
 	gap GAP
@@ -52,6 +61,14 @@ type Simulator struct {
 	cur, next []adoptEvent
 	informs   []informEntry
 
+	// Scratch of sortInforms: the step's distinct targets, a bitmap and
+	// a per-node bucket counter over them (both all zero between steps),
+	// and the scatter buffer.
+	targets    []int32
+	targetBits []uint64
+	bucket     []int32
+	sorted     []informEntry
+
 	adoptedA, adoptedB []int32
 	seqCounter         int32
 	evCounter          int32
@@ -69,11 +86,11 @@ type adoptEvent struct {
 }
 
 type informEntry struct {
+	rank   float64
 	target int32
 	src    int32
-	item   Item
 	srcSeq int32
-	rank   float64
+	item   Item
 }
 
 // NewSimulator returns a Simulator for g under the given GAPs.
@@ -96,6 +113,8 @@ func NewSimulator(g *graph.Graph, gap GAP) *Simulator {
 		seqB:       make([]int32, n),
 		seedMark:   make([]uint8, n),
 		stampSeed:  make([]uint32, n),
+		targetBits: make([]uint64, (n+63)/64),
+		bucket:     make([]int32, n),
 	}
 	s.eStatus[0] = make([]uint8, m)
 	s.stampE[0] = make([]uint32, m)
@@ -408,26 +427,30 @@ func (s *Simulator) propagateStep() {
 	// Group the previous step's adoptions by node so that a node that
 	// adopted both items shares one tie-break rank per out-edge and informs
 	// in its own adoption order.
-	sort.Slice(s.cur, func(i, j int) bool {
-		if s.cur[i].node != s.cur[j].node {
-			return s.cur[i].node < s.cur[j].node
+	slices.SortFunc(s.cur, func(a, b adoptEvent) int {
+		if a.node != b.node {
+			return cmp.Compare(a.node, b.node)
 		}
-		return s.cur[i].seq < s.cur[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
+	keepDead := s.trace != nil // see the Simulator doc on dead informs
 	for i := 0; i < len(s.cur); {
 		j := i + 1
 		for j < len(s.cur) && s.cur[j].node == s.cur[i].node {
 			j++
 		}
-		u := s.cur[i].node
+		grp := s.cur[i:j]
+		u := grp[0].node
 		to, eids := s.g.OutNeighbors(u)
-		for e := range to {
+		for e, v := range to {
 			eid := eids[e]
 			rank := s.edgeRank(eid)
-			for _, ev := range s.cur[i:j] {
-				if s.edgeLive(ev.item, eid) {
+			for _, ev := range grp {
+				// The coin is flipped even for a dead inform: skipping the
+				// draw would shift every later outcome of the run.
+				if s.edgeLive(ev.item, eid) && (keepDead || s.state(v, ev.item) == Idle) {
 					s.informs = append(s.informs, informEntry{
-						target: to[e], src: u, item: ev.item,
+						target: v, src: u, item: ev.item,
 						srcSeq: ev.seq, rank: rank,
 					})
 				}
@@ -436,24 +459,98 @@ func (s *Simulator) propagateStep() {
 		i = j
 	}
 
-	// Tie-breaking (Figure 2, step 2): within each target, informing
-	// in-neighbors are ordered by rank (a uniform permutation); a neighbor
-	// that adopted both items informs both in its adoption order.
-	sort.Slice(s.informs, func(i, j int) bool {
-		a, b := &s.informs[i], &s.informs[j]
-		if a.target != b.target {
-			return a.target < b.target
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.srcSeq < b.srcSeq
-	})
+	s.sortInforms()
 	for i := range s.informs {
 		s.processInform(s.informs[i].target, s.informs[i].item)
+	}
+}
+
+// sortInforms puts s.informs in tie-breaking order (Figure 2, step 2):
+// by target, and within each target by rank (a uniform permutation of the
+// informing in-neighbors), then source and source adoption order, so a
+// neighbor that adopted both items informs both in its adoption order.
+// No comparison sort runs over the whole step: the distinct targets are
+// put in order, the entries scattered into one bucket per target, and each
+// bucket, usually a handful of in-neighbors, sorted on its own. (target,
+// src, srcSeq) identifies an entry, so the result equals one sort over all
+// keys.
+func (s *Simulator) sortInforms() {
+	if len(s.informs) < 2 {
+		return
+	}
+	s.targets = s.targets[:0]
+	for i := range s.informs {
+		v := s.informs[i].target
+		if s.bucket[v] == 0 {
+			s.targets = append(s.targets, v)
+			s.targetBits[v>>6] |= 1 << (v & 63)
+		}
+		s.bucket[v]++
+	}
+	// Order the targets by whichever is cheaper: a scan of the target
+	// bitmap, when the step reaches at least one node per 64, else a sort.
+	if len(s.targets) >= len(s.targetBits) {
+		s.targets = s.targets[:0]
+		for w, word := range s.targetBits {
+			for ; word != 0; word &= word - 1 {
+				s.targets = append(s.targets, int32(w<<6+bits.TrailingZeros64(word)))
+			}
+			s.targetBits[w] = 0
+		}
+	} else {
+		for _, v := range s.targets {
+			s.targetBits[v>>6] = 0
+		}
+		slices.Sort(s.targets)
+	}
+	off := int32(0)
+	for _, v := range s.targets {
+		c := s.bucket[v]
+		s.bucket[v] = off
+		off += c
+	}
+	if cap(s.sorted) < len(s.informs) {
+		s.sorted = make([]informEntry, len(s.informs), cap(s.informs))
+	}
+	s.sorted = s.sorted[:len(s.informs)]
+	for i := range s.informs {
+		v := s.informs[i].target
+		s.sorted[s.bucket[v]] = s.informs[i]
+		s.bucket[v]++
+	}
+	lo := int32(0)
+	for _, v := range s.targets {
+		hi := s.bucket[v] // end of v's bucket after the scatter
+		s.bucket[v] = 0
+		if b := s.sorted[lo:hi]; len(b) <= 16 {
+			insertionSortInforms(b)
+		} else {
+			slices.SortFunc(b, compareInforms)
+		}
+		lo = hi
+	}
+	s.informs, s.sorted = s.sorted, s.informs
+}
+
+// compareInforms orders two informs of the same target.
+func compareInforms(a, b informEntry) int {
+	if a.rank != b.rank {
+		return cmp.Compare(a.rank, b.rank)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.srcSeq, b.srcSeq)
+}
+
+func insertionSortInforms(b []informEntry) {
+	for i := 1; i < len(b); i++ {
+		x := b[i]
+		j := i
+		for ; j > 0 && compareInforms(x, b[j-1]) < 0; j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = x
 	}
 }
 

@@ -29,14 +29,23 @@ type World struct {
 
 // SampleWorld draws a complete possible world for g.
 func SampleWorld(g *graph.Graph, r *rng.RNG) *World {
+	w := &World{}
+	w.Resample(g, r)
+	return w
+}
+
+// Resample redraws w as a complete possible world for g, reusing w's
+// buffers where they are large enough. It consumes r exactly as
+// SampleWorld does, so the two produce identical worlds from equal RNG
+// states; Monte-Carlo workers use it to sample one world per run without
+// allocating.
+func (w *World) Resample(g *graph.Graph, r *rng.RNG) {
 	n, m := g.N(), g.M()
-	w := &World{
-		EdgeLive:  make([]bool, m),
-		AlphaA:    make([]float64, n),
-		AlphaB:    make([]float64, n),
-		EdgeRank:  make([]float64, m),
-		SeedFirst: make([]Item, n),
-	}
+	w.EdgeLive = resize(w.EdgeLive, m)
+	w.EdgeRank = resize(w.EdgeRank, m)
+	w.AlphaA = resize(w.AlphaA, n)
+	w.AlphaB = resize(w.AlphaB, n)
+	w.SeedFirst = resize(w.SeedFirst, n)
 	for eid := 0; eid < m; eid++ {
 		w.EdgeLive[eid] = r.Bernoulli(g.Prob(int32(eid)))
 		w.EdgeRank[eid] = r.Float64()
@@ -50,7 +59,15 @@ func SampleWorld(g *graph.Graph, r *rng.RNG) *World {
 			w.SeedFirst[v] = B
 		}
 	}
-	return w
+}
+
+// resize returns s with length n, reallocating only when s is too short.
+// The contents are unspecified; Resample overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AlphaRange identifies which of the (at most three) equivalence-class

@@ -137,9 +137,11 @@ func (e *Estimator) Estimate(seedsA, seedsB []int32, runs int, seed uint64) Resu
 		go func(wi int) {
 			defer wg.Done()
 			sim := core.NewSimulator(e.g, e.gap)
+			var r rng.RNG
 			a := &accs[wi]
 			for i := wi; i < runs; i += w {
-				ca, cb := sim.Run(seedsA, seedsB, rng.NewStream(seed, uint64(i)))
+				r.ReseedStream(seed, uint64(i))
+				ca, cb := sim.Run(seedsA, seedsB, &r)
 				a.a.add(float64(ca))
 				a.b.add(float64(cb))
 			}
@@ -205,14 +207,13 @@ func (e *Estimator) PairedBaselineA(seedsA []int32, runs int, seed uint64) []int
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			sim := core.NewSimulator(e.g, e.gap)
+			sim, world, r := e.pairedWorker()
 			for i := wi; i < runs; i += w {
-				world := core.SampleWorld(e.g, rng.NewStream(seed, uint64(i)))
-				sim.SetWorld(world)
+				r.ReseedStream(seed, uint64(i))
+				world.Resample(e.g, r)
 				withoutB, _ := sim.Run(seedsA, nil, nil)
 				baseline[i] = int32(withoutB)
 			}
-			sim.SetWorld(nil)
 		}(wi)
 	}
 	wg.Wait()
@@ -225,6 +226,16 @@ func (e *Estimator) PairedBaselineA(seedsA []int32, runs int, seed uint64) []int
 // per-run differences, same merge order — at half the simulation cost.
 func (e *Estimator) BoostPairedFromBaseline(seedsA, seedsB, baseline []int32, runs int, seed uint64) (mean, stderr float64) {
 	return e.boostPaired(seedsA, seedsB, baseline, runs, seed)
+}
+
+// pairedWorker returns one worker's state for the common-random-number
+// paths: a simulator bound to a world that the worker redraws in place
+// for each run, and the RNG it redraws from.
+func (e *Estimator) pairedWorker() (*core.Simulator, *core.World, *rng.RNG) {
+	sim := core.NewSimulator(e.g, e.gap)
+	world := new(core.World)
+	sim.SetWorld(world)
+	return sim, world, new(rng.RNG)
 }
 
 func (e *Estimator) boostPaired(seedsA, seedsB, baseline []int32, runs int, seed uint64) (mean, stderr float64) {
@@ -241,11 +252,11 @@ func (e *Estimator) boostPaired(seedsA, seedsB, baseline []int32, runs int, seed
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			sim := core.NewSimulator(e.g, e.gap)
+			sim, world, r := e.pairedWorker()
 			a := &accs[wi]
 			for i := wi; i < runs; i += w {
-				world := core.SampleWorld(e.g, rng.NewStream(seed, uint64(i)))
-				sim.SetWorld(world)
+				r.ReseedStream(seed, uint64(i))
+				world.Resample(e.g, r)
 				withB, _ := sim.Run(seedsA, seedsB, nil)
 				var withoutB int
 				if baseline != nil {
@@ -255,7 +266,6 @@ func (e *Estimator) boostPaired(seedsA, seedsB, baseline []int32, runs int, seed
 				}
 				a.add(float64(withB - withoutB))
 			}
-			sim.SetWorld(nil)
 		}(wi)
 	}
 	wg.Wait()

@@ -12,8 +12,9 @@
 package multi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"comic/internal/core"
 	"comic/internal/graph"
@@ -289,11 +290,11 @@ func (s *Simulator) Run(seedSets [][]int32, r *rng.RNG) []int {
 
 func (s *Simulator) step() {
 	s.informs = s.informs[:0]
-	sort.Slice(s.cur, func(i, j int) bool {
-		if s.cur[i].node != s.cur[j].node {
-			return s.cur[i].node < s.cur[j].node
+	slices.SortFunc(s.cur, func(a, b event) int {
+		if a.node != b.node {
+			return cmp.Compare(a.node, b.node)
 		}
-		return s.cur[i].seq < s.cur[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := 0; i < len(s.cur); {
 		j := i + 1
@@ -315,15 +316,14 @@ func (s *Simulator) step() {
 		}
 		i = j
 	}
-	sort.Slice(s.informs, func(i, j int) bool {
-		a, b := &s.informs[i], &s.informs[j]
+	slices.SortFunc(s.informs, func(a, b inform) int {
 		if a.target != b.target {
-			return a.target < b.target
+			return cmp.Compare(a.target, b.target)
 		}
 		if a.rank != b.rank {
-			return a.rank < b.rank
+			return cmp.Compare(a.rank, b.rank)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range s.informs {
 		s.processInform(s.informs[i].target, s.informs[i].item)

@@ -10,7 +10,10 @@
 // interleaving.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a PCG-XSH-RR 64/32-inspired generator with a 64-bit state and a
 // 64-bit odd increment selecting the stream. The zero value is NOT usable;
@@ -74,18 +77,23 @@ func (r *RNG) ReseedStream(seed, i uint64) {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	// Two rounds of PCG-XSH-RR 64/32 glued together.
-	hi := uint64(r.next32())
-	lo := uint64(r.next32())
-	return hi<<32 | lo
+	// Two rounds of PCG-XSH-RR 64/32 glued together, written out so the
+	// call inlines into Float64 and Bernoulli.
+	s0 := r.state
+	s1 := s0*pcgMult + r.inc
+	r.state = s1*pcgMult + r.inc
+	return uint64(output(s0))<<32 | uint64(output(s1))
 }
 
 func (r *RNG) next32() uint32 {
 	old := r.state
 	r.state = old*pcgMult + r.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return output(old)
+}
+
+// output is PCG-XSH-RR's output permutation of the pre-step state.
+func output(old uint64) uint32 {
+	return bits.RotateLeft32(uint32(((old>>18)^old)>>27), -int(old>>59))
 }
 
 // Uint32 returns the next 32 pseudo-random bits.

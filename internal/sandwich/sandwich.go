@@ -9,6 +9,7 @@ package sandwich
 
 import (
 	"fmt"
+	"slices"
 
 	"comic/internal/core"
 	"comic/internal/graph"
@@ -123,6 +124,26 @@ func pickBest(cands []Candidate) ([]int32, float64, string) {
 	return c.Seeds, c.Objective, c.Name
 }
 
+// scoreOnce wraps a deterministic objective so that each distinct seed
+// list is scored at most once per solve: candidates that select the same
+// list (lower and upper often agree at small k) share one Monte-Carlo
+// estimate, which is exactly the value a second estimate would return.
+func scoreOnce(f func([]int32) float64) func([]int32) float64 {
+	var seen [][]int32
+	var vals []float64
+	return func(s []int32) float64 {
+		for i, t := range seen {
+			if slices.Equal(s, t) {
+				return vals[i]
+			}
+		}
+		v := f(s)
+		seen = append(seen, s)
+		vals = append(vals, v)
+		return v
+	}
+}
+
 // selfKind maps the UseSIMPlus switch to the RR-SIM variant to request.
 func (c Config) selfKind() rrset.Kind {
 	if c.UseSIMPlus {
@@ -158,9 +179,9 @@ func SolveSelfInfMax(g *graph.Graph, gap core.GAP, seedsB []int32, cfg Config) (
 		return nil, fmt.Errorf("sandwich: SelfInfMax requires Q+ GAPs, got %+v", gap)
 	}
 	est := montecarlo.New(g, gap)
-	evalObjective := func(s []int32) float64 {
+	evalObjective := scoreOnce(func(s []int32) float64 {
 		return est.SpreadA(s, seedsB, cfg.EvalRuns, cfg.Seed^0xe7a1)
-	}
+	})
 
 	res := &Result{}
 	if gap.BIndifferentToA() {
@@ -239,13 +260,13 @@ func SolveCompInfMax(g *graph.Graph, gap core.GAP, seedsA []int32, cfg Config) (
 		return nil, fmt.Errorf("sandwich: CompInfMax requires Q+ GAPs, got %+v", gap)
 	}
 	est := montecarlo.New(g, gap)
-	evalBoost := func(s []int32) float64 {
+	evalBoost := scoreOnce(func(s []int32) float64 {
 		if len(s) == 0 {
 			return 0
 		}
 		b, _ := est.BoostPaired(seedsA, s, cfg.EvalRuns, cfg.Seed^0xe7a1)
 		return b
-	}
+	})
 
 	upperGAP, err := CompUpper(gap)
 	if err != nil {

@@ -194,3 +194,31 @@ func TestSolveRejectsNonQPlus(t *testing.T) {
 		t.Fatal("SolveCompInfMax accepted Q- GAPs")
 	}
 }
+
+// TestScoreOnce checks that a solve scores each distinct seed list once:
+// an equal list, even in another slice, reuses the first score, while a
+// reordered list is a different simulation input and is scored again.
+func TestScoreOnce(t *testing.T) {
+	calls := 0
+	f := scoreOnce(func(s []int32) float64 {
+		calls++
+		return float64(len(s)*100 + calls)
+	})
+	got := []float64{
+		f([]int32{1, 2, 3}),
+		f([]int32{1, 2, 3}),
+		f([]int32{3, 2, 1}),
+		f([]int32{1, 2, 3}),
+		f(nil),
+		f([]int32{}),
+	}
+	want := []float64{301, 301, 302, 301, 3, 3}
+	if calls != 3 {
+		t.Fatalf("objective ran %d times, want 3", calls)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("call %d scored %v, want %v", i, got[i], want[i])
+		}
+	}
+}
