@@ -1,22 +1,13 @@
 package lint
 
-// This file holds lightweight reimplementations of selected upstream vet
-// passes. The build environment cannot vendor golang.org/x/tools, so the
-// multichecker bundles these stdlib-only ports instead:
-//
-//   - shadow: as upstream, reports an inner declaration hiding an outer
-//     function-local variable, filtered by the same core heuristic (the
-//     shadowed variable must be used after the shadowing scope ends,
-//     otherwise the shadow cannot cause confusion).
-//   - lostcancel: the CFG-free core of upstream lostcancel — a context
-//     cancel function discarded with _ or never referenced. (The upstream
-//     pass additionally proves "not called on all paths" with a control-flow
-//     graph; that refinement needs x/tools/go/cfg.)
-//   - nilfunc: comparison of a declared function against nil, which is
-//     always vacuous. (Stands in for the SSA-based nilness pass, which is
-//     out of reach without x/tools/go/ssa.)
-//
-// All three accept the //comic:allow <analyzer> <reason> directive.
+// This file holds a lightweight reimplementation of the upstream shadow
+// pass, which go vet does not run by default. The build environment cannot
+// vendor golang.org/x/tools, so the multichecker bundles this stdlib-only
+// port instead. As upstream, it reports an inner declaration hiding an
+// outer function-local variable, filtered by the same core heuristic (the
+// shadowed variable must be used after the shadowing scope ends, otherwise
+// the shadow cannot cause confusion). It accepts the
+// //comic:allow shadow <reason> directive.
 
 import (
 	"go/ast"
@@ -143,126 +134,4 @@ func checkShadow(pass *analysis.Pass, dirs []directive, maxUse map[types.Object]
 		return
 	}
 	pass.Reportf(id.Pos(), "declaration of %q shadows declaration at line %d", id.Name, pass.Fset.Position(outer.Pos()).Line)
-}
-
-// LostcancelAnalyzer reports context cancel functions that are discarded or
-// never used.
-var LostcancelAnalyzer = &analysis.Analyzer{
-	Name: "lostcancel",
-	Doc: `report discarded or unused context cancel functions
-
-The cancel function returned by context.WithCancel, WithTimeout,
-WithDeadline, and WithCancelCause must be called, or the new context and its
-resources leak until the parent is canceled. Assigning it to _ or binding it
-to a variable that is never referenced is reported. Suppress with
-"//comic:allow lostcancel <reason>".`,
-	Run: runLostcancel,
-}
-
-// cancelFuncs are the context constructors whose second result must be
-// called.
-var cancelFuncs = map[string]bool{
-	"WithCancel":      true,
-	"WithDeadline":    true,
-	"WithTimeout":     true,
-	"WithCancelCause": true,
-}
-
-func runLostcancel(pass *analysis.Pass) (interface{}, error) {
-	// A cancel variable that is only ever assigned is still lost:
-	// Info.Uses records assignment-LHS mentions too, so "referenced"
-	// means read, per maxReadPos.
-	maxUse := maxReadPos(pass)
-	for _, file := range pass.Files {
-		dirs := fileDirectives(pass.Fset, file)
-		walkWithStack(file, func(n ast.Node, stack []ast.Node) bool {
-			assign, ok := n.(*ast.AssignStmt)
-			if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) != 2 {
-				return true
-			}
-			call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := typeutilCallee(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" || !cancelFuncs[fn.Name()] {
-				return true
-			}
-			cancel, ok := ast.Unparen(assign.Lhs[1]).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if suppressed(pass.Fset, dirs, verbAllow, "lostcancel", assign, cancel) {
-				return true
-			}
-			if cancel.Name == "_" {
-				pass.Reportf(cancel.Pos(), "the cancel function returned by context.%s should be called, not discarded", fn.Name())
-				return true
-			}
-			if obj := pass.TypesInfo.ObjectOf(cancel); obj != nil && maxUse[obj] == token.NoPos {
-				pass.Reportf(cancel.Pos(), "the cancel function %s returned by context.%s is never used", cancel.Name, fn.Name())
-			}
-			return true
-		})
-	}
-	return nil, nil
-}
-
-// NilfuncAnalyzer reports vacuous comparisons of functions against nil.
-var NilfuncAnalyzer = &analysis.Analyzer{
-	Name: "nilfunc",
-	Doc: `report useless comparisons between declared functions and nil
-
-A declared function or method value is never nil, so "f == nil" is always
-false and "f != nil" always true; the author almost certainly meant to call
-f. Suppress with "//comic:allow nilfunc <reason>".`,
-	Run: runNilfunc,
-}
-
-func runNilfunc(pass *analysis.Pass) (interface{}, error) {
-	for _, file := range pass.Files {
-		dirs := fileDirectives(pass.Fset, file)
-		walkWithStack(file, func(n ast.Node, stack []ast.Node) bool {
-			bin, ok := n.(*ast.BinaryExpr)
-			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-				return true
-			}
-			var fnExpr ast.Expr
-			switch {
-			case isNilIdent(pass.TypesInfo, bin.Y):
-				fnExpr = bin.X
-			case isNilIdent(pass.TypesInfo, bin.X):
-				fnExpr = bin.Y
-			default:
-				return true
-			}
-			var obj types.Object
-			switch e := ast.Unparen(fnExpr).(type) {
-			case *ast.Ident:
-				obj = pass.TypesInfo.Uses[e]
-			case *ast.SelectorExpr:
-				obj = pass.TypesInfo.Uses[e.Sel]
-			}
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				return true
-			}
-			stmt := enclosingStmt(stack)
-			if suppressed(pass.Fset, dirs, verbAllow, "nilfunc", stmt, bin) {
-				return true
-			}
-			pass.Reportf(bin.Pos(), "comparison of function %s %s nil is always %v", fn.Name(), bin.Op, bin.Op == token.NEQ)
-			return true
-		})
-	}
-	return nil, nil
-}
-
-func isNilIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
 }

@@ -10,11 +10,3 @@ import (
 func TestShadow(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.ShadowAnalyzer, "shadow")
 }
-
-func TestLostcancel(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LostcancelAnalyzer, "lostcancel")
-}
-
-func TestNilfunc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.NilfuncAnalyzer, "nilfunc")
-}
