@@ -112,7 +112,7 @@ func TestGoldenMonteCarloDigests(t *testing.T) {
 			putF(h, res.StderrA)
 			putF(h, res.StderrB)
 		}
-		check(t, want, c.name+"/estimate", h)
+		checkDigest(t, want, c.name+"/estimate", h)
 
 		h = sha256.New()
 		for _, seed := range []uint64{1, 2} {
@@ -127,7 +127,7 @@ func TestGoldenMonteCarloDigests(t *testing.T) {
 				putF(h, stderr)
 			}
 		}
-		check(t, want, c.name+"/paired", h)
+		checkDigest(t, want, c.name+"/paired", h)
 
 		h = sha256.New()
 		sim := core.NewSimulator(c.g, c.gap)
@@ -139,11 +139,11 @@ func TestGoldenMonteCarloDigests(t *testing.T) {
 				tr.InformEvA, tr.AdoptEvA, tr.InformEvB, tr.AdoptEvB)
 			putStates(h, tr.StateA, tr.StateB)
 		}
-		check(t, want, c.name+"/trace", h)
+		checkDigest(t, want, c.name+"/trace", h)
 	}
 }
 
-func check(t *testing.T, want map[string]string, key string, h hash.Hash) {
+func checkDigest(t *testing.T, want map[string]string, key string, h hash.Hash) {
 	t.Helper()
 	got := hex.EncodeToString(h.Sum(nil))
 	if got != want[key] {

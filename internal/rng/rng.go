@@ -78,7 +78,7 @@ func (r *RNG) ReseedStream(seed, i uint64) {
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	// Two rounds of PCG-XSH-RR 64/32 glued together, written out so the
-	// call inlines into Float64 and Bernoulli.
+	// call inlines into Float64.
 	s0 := r.state
 	s1 := s0*pcgMult + r.inc
 	r.state = s1*pcgMult + r.inc
