@@ -21,14 +21,20 @@ import (
 	"comic/internal/rrset"
 )
 
-// Persistent state layer. A server restart used to throw away the entire
-// RR-set index and every dynamically uploaded graph: the first query after
-// a deploy paid the full cold-solve cost, and /v1/graphs uploads vanished.
-// TIM-style RR-set collections are expensive to build and cheap to reuse —
-// the amortization the whole serving layer is built on — so they are
-// exactly the state worth persisting.
+// Persistent state layer. TIM-style RR-set collections are expensive to
+// build and cheap to reuse — the amortization the whole serving layer is
+// built on — so they are exactly the state worth keeping: across a
+// restart, in the state directory (Config.StateDir), so the first query
+// after a deploy does not pay the full cold-solve cost; and across nodes,
+// in cluster mode's shared SnapshotStore, so a node that inherits a graph
+// on a membership change adopts its warm collections instead of
+// rebuilding them. Both destinations hold RR-set entries in one format,
+// written by one writer (writeEntries) and read by one reader
+// (readEntries): the state directory's index is a DirStore with the
+// empty prefix, and a shared store holds one prefix per graph version.
+// Dynamically uploaded graphs persist in the state directory too.
 //
-// State-directory layout (Config.StateDir):
+// State-directory layout:
 //
 //	<state>/
 //	  graphs/
@@ -36,24 +42,51 @@ import (
 //	                          created time, graph fingerprint
 //	    <digest(name)>.edges  text edge list (dynamically added graphs only;
 //	                          preloaded datasets are rebuilt from Config)
-//	  index/
-//	    MANIFEST.json         RR-index snapshot manifest, LRU order (MRU first)
-//	    <digest(key)>.rrs     one rrset.Snapshot per resident collection,
-//	                          plus its memoized seed ordering when one was
-//	                          computed (an optional, checksummed trailing
-//	                          section; old order-less files still load)
+//	  index/                  RR-set entries under the empty prefix
+//	    MANIFEST.json
+//	    <digest(key)>.rrs
 //
-// Every file is written atomically (temp file in the same directory,
+// Shared-store layout, one prefix per graph version:
+//
+//	graphs/<digest(graphID)>/MANIFEST.json
+//	graphs/<digest(graphID)>/<digest(key)>.rrs
+//
+// A manifest lists its entries most-recently-used first, so a restore
+// under a smaller byte budget keeps the hottest prefix and recreates the
+// exact LRU order. A shared-store manifest also records the full
+// versioned GraphID its prefix digest was derived from. An entry object
+// is one rrset.Snapshot plus its memoized seed ordering when one was
+// computed (an optional, checksummed trailing section; order-less objects
+// still load).
+//
+// Every object is written atomically (temp file in the same directory,
 // fsync, rename), so a crash mid-snapshot leaves only the previous
-// snapshot visible — a reader never observes a torn file. Entry files are
-// content-addressed by cache key and collections are deterministic per
-// key, so periodic snapshots skip rewriting files that already exist;
-// files for evicted or dropped entries are pruned at save time.
+// snapshot visible — a reader never observes a torn file. Entry objects
+// are content-addressed by cache key and collections are deterministic
+// per key, so a save skips an entry the store already lists when the
+// previous manifest records it at least as complete (seed order,
+// postings). The state directory also prunes the entry files of evicted
+// or dropped collections and the temp files of crashed writers; a shared
+// prefix is never pruned, since another owner may be writing it.
 //
-// Restore is strict where it matters and lenient where it must be: a
-// corrupt, truncated, or wrong-version entry file — or one whose key,
-// graph identity, or node/edge counts don't match — is skipped and counted
-// (IndexStats.RestoreRejects), never served and never fatal to boot.
+// Prefixing by versioned GraphID ("<name>#<reg-gen>@<edit-gen>") is the
+// generation fence: a publisher writes only under the exact version it
+// holds, an adopter reads only the prefix of the version it currently
+// serves, and the manifest's recorded GraphID is verified on top. A
+// snapshot of a stale generation lives under a different prefix and can
+// never be adopted, let alone served. It also keeps concurrent writers
+// apart: two nodes only ever race on a prefix when both own the same
+// version, in which case they write identical bytes.
+//
+// Reads are strict where it matters and lenient where they must be. A
+// torn or foreign manifest forfeits the snapshot, never the boot or the
+// node. An entry whose object is corrupt, truncated, missing or of the
+// wrong version, or whose key, graph identity or node/edge counts don't
+// match, is skipped, counted in IndexStats.RestoreRejects, and deleted
+// from the store, so the next save or publish rewrites it. Entries of a
+// graph the reader does not serve, and entries beyond the byte budget,
+// are counted too but keep their objects: they are intact and may become
+// restorable again. Entries already resident are skipped uncounted.
 
 const (
 	manifestName     = "MANIFEST.json"
@@ -133,11 +166,13 @@ func writeFileAtomic(path string, fill func(io.Writer) error) error {
 
 // --- RR-set index snapshots ---
 
-// snapshotManifest orders an index snapshot: entries are listed most-
-// recently-used first, so a restore under a smaller byte budget keeps the
-// hottest prefix and recreates the exact LRU order.
+// snapshotManifest orders the entries under one prefix most-recently-used
+// first. GraphID is set only in a shared store, where it is the full
+// versioned ID the prefix digest was derived from; the state directory's
+// manifest holds entries of every graph and omits it.
 type snapshotManifest struct {
 	Version int             `json:"version"`
+	GraphID string          `json:"graphID,omitempty"`
 	Entries []manifestEntry `json:"entries"`
 }
 
@@ -146,7 +181,7 @@ type manifestEntry struct {
 	GraphID string `json:"graphID"`
 	Bytes   int64  `json:"bytes"`
 	// HasOrder records whether the entry file carries the optional
-	// seed-order section. SaveSnapshot's skip-if-exists optimization
+	// seed-order section. The writer's skip-if-exists optimization
 	// consults it: a file written before the entry's ordering was memoized
 	// is rewritten once to include it, then skipped again. HasPostings
 	// does the same for the examination-index section incremental repair
@@ -220,11 +255,11 @@ func (rm *requestMeta) toRequest(graphID string, g *graph.Graph) *rrset.Collecti
 // SaveSnapshot persists every resident collection whose cache key names a
 // graph by GraphID (pointer-identity keys are meaningless across
 // processes) to dir, one checksummed file per entry plus a manifest
-// recording the LRU order. All writes are atomic temp-file+rename; entry
+// recording the LRU order, through the same writer as PublishGraph. Entry
 // files that already exist are reused (collections are deterministic per
-// key), and files no longer referenced by the manifest are pruned.
-// Concurrent SaveSnapshot/LoadSnapshot calls are serialized. Failures are
-// counted in IndexStats.SnapshotErrors.
+// key), and files no longer referenced by the manifest are pruned, as are
+// temp files a crashed writer left behind. Concurrent snapshot operations
+// are serialized. Failures are counted in IndexStats.SnapshotErrors.
 func (x *Index) SaveSnapshot(dir string) error {
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
@@ -240,105 +275,26 @@ func (x *Index) SaveSnapshot(dir string) error {
 	return err
 }
 
-type savedEntry struct {
-	key, graphID string
-	graphN       int
-	graphM       int
-	col          *rrset.Collection
-	order        *rrset.SeedOrder
-	req          *rrset.CollectionRequest
-	bytes        int64
-}
-
 func (x *Index) saveSnapshotLocked(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	store, err := x.useSnapshotDir(dir)
+	if err != nil {
 		return err
 	}
-	// Snapshot the resident set under the lock; collections are immutable,
-	// so the (possibly slow) file writes below need no lock.
-	x.mu.Lock()
-	list := make([]savedEntry, 0, x.lru.Len())
-	for el := x.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*indexEntry)
-		if e.graphID == "" {
-			continue
-		}
-		list = append(list, savedEntry{e.key, e.graphID, e.graph.N(), e.graph.M(), e.col, e.order, e.req, e.bytes})
-	}
-	x.snapDir = dir
-	x.mu.Unlock()
-
-	// The previous manifest records which entry files already carry the
-	// optional seed-order and postings sections, so a file written before
-	// its entry grew one of them is rewritten exactly once to include it.
-	prevHasOrder := map[string]bool{}
-	prevHasPostings := map[string]bool{}
-	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		var prev snapshotManifest
-		if json.Unmarshal(data, &prev) == nil && prev.Version == manifestVersion {
-			for _, me := range prev.Entries {
-				prevHasOrder[me.File] = me.HasOrder
-				prevHasPostings[me.File] = me.HasPostings
-			}
-		}
-	}
-
-	man := snapshotManifest{Version: manifestVersion}
-	keep := map[string]bool{manifestName: true}
-	for _, s := range list {
-		name := snapshotFileName(s.key)
-		if keep[name] {
-			continue // digest collision between live keys: keep the hotter entry
-		}
-		keep[name] = true
-		path := filepath.Join(dir, name)
-		_, statErr := os.Stat(path)
-		exists := statErr == nil
-		if exists && (prevHasOrder[name] || s.order == nil) &&
-			(prevHasPostings[name] || !s.col.HasPostings()) {
-			// Collections are deterministic per key and the file is at
-			// least as complete as the resident entry: reuse it. The file
-			// may carry sections the entry has not (re)computed yet. The
-			// request meta lives in the manifest, not the file, so it is
-			// refreshed regardless.
-			man.Entries = append(man.Entries, manifestEntry{
-				File: name, GraphID: s.graphID, Bytes: s.bytes,
-				HasOrder: prevHasOrder[name], HasPostings: prevHasPostings[name],
-				Request: requestMetaOf(s.req),
-			})
-			continue
-		}
-		man.Entries = append(man.Entries, manifestEntry{
-			File: name, GraphID: s.graphID, Bytes: s.bytes,
-			HasOrder: s.order != nil, HasPostings: s.col.HasPostings(),
-			Request: requestMetaOf(s.req),
-		})
-		snap := &rrset.Snapshot{Key: s.key, GraphID: s.graphID, GraphN: s.graphN, GraphM: s.graphM,
-			Collection: s.col, Order: s.order}
-		if err := writeFileAtomic(path, func(w io.Writer) error {
-			_, err := snap.WriteTo(w)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(man)
-	}); err != nil {
+	man, err := x.writeEntries(store, "", "")
+	if err != nil {
 		return err
 	}
-	// Prune entry files for collections that were evicted or dropped, and
-	// temp files a crashed writer may have left behind.
+	// Pruning stays local: DirStore.List hides temp files, and a shared
+	// prefix may have another writer.
+	keep := map[string]bool{}
+	for _, me := range man.Entries {
+		keep[me.File] = true
+	}
 	if des, err := os.ReadDir(dir); err == nil {
 		for _, de := range des {
 			name := de.Name()
-			stale := (strings.HasSuffix(name, snapshotSuffix) && !keep[name]) ||
-				strings.Contains(name, ".tmp-")
-			if stale {
-				//comic:allow errlost best-effort prune; LoadSnapshot tolerates strays
-				os.Remove(filepath.Join(dir, name))
+			if (strings.HasSuffix(name, snapshotSuffix) && !keep[name]) || strings.Contains(name, ".tmp-") {
+				os.Remove(filepath.Join(dir, name)) //comic:allow errlost best-effort prune; LoadSnapshot tolerates strays
 			}
 		}
 	}
@@ -346,106 +302,234 @@ func (x *Index) saveSnapshotLocked(dir string) error {
 }
 
 // LoadSnapshot rehydrates the index from the snapshot in dir, resolving
-// each entry's GraphID through graphs (cache ID → live graph). Entries are
-// admitted most-recently-used first while they fit the byte budget and
-// inserted so the pre-snapshot LRU order is preserved exactly.
+// each entry's GraphID through graphs (cache ID → live graph), through the
+// same reader as AdoptGraph: entries are admitted most-recently-used first
+// while they fit the byte budget and inserted so the pre-snapshot LRU
+// order is preserved exactly.
 //
 // A missing snapshot is not an error — the index simply starts cold. A
-// corrupt, truncated, or wrong-version entry file, a key or graph
-// mismatch, or an entry beyond the budget is skipped and counted in
-// IndexStats.RestoreRejects; it can never fail the whole load. The number
-// of restored collections is returned.
+// torn manifest, a corrupt, truncated, or wrong-version entry file, a key
+// or graph mismatch, or an entry beyond the budget is skipped and counted
+// in IndexStats.RestoreRejects; it can never fail the whole load. The
+// number of restored collections is returned.
 func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, error) {
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
-
-	setDir := func() {
-		x.mu.Lock()
-		x.snapDir = dir
-		x.mu.Unlock()
-	}
 	//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	store, err := x.useSnapshotDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	return x.readEntries(store, "", "", graphs)
+}
+
+// useSnapshotDir opens dir as the index's state-directory store, the one
+// DropGraph and RepairGraph delete dead entries from.
+func (x *Index) useSnapshotDir(dir string) (*DirStore, error) {
+	store, err := NewDirStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	x.mu.Lock()
+	x.snapDir = store
+	x.mu.Unlock()
+	return store, nil
+}
+
+// PublishGraph writes every resident collection keyed to graphID (the
+// versioned RR-index GraphID) to the store under the version's prefix,
+// plus a manifest recording the LRU order, and returns how many entries
+// the manifest now lists. Entry objects the store already holds with the
+// same completeness are not rewritten — collections are deterministic per
+// key, so an existing object is already byte-correct. Publishing a version
+// with no resident entries removes its manifest (the graph has nothing to
+// move).
+//
+// Serialized with the local snapshot operations on snapMu; safe to call
+// concurrently with queries.
+func (x *Index) PublishGraph(store SnapshotStore, graphID string) (int, error) {
+	x.snapMu.Lock()
+	defer x.snapMu.Unlock()
+	man, err := x.writeEntries(store, storeGraphPrefix(graphID), graphID)
+	if err != nil {
+		return 0, err
+	}
+	return len(man.Entries), nil
+}
+
+// AdoptGraph loads the store's published entries for graphID — the
+// versioned GraphID of the graph version this index currently serves —
+// and returns how many collections it adopted. It is the reader
+// LoadSnapshot uses: the manifest and every entry object must record
+// exactly graphID, the entry's key must hash to its object name, the
+// codec's checksums must verify, and the node/edge counts must match g.
+// Anything else is skipped and counted in IndexStats.RestoreRejects — a
+// stale or foreign snapshot is never served — and a rejected entry object
+// is deleted so the owner's next publish rewrites it. Entries beyond the
+// byte budget count as rejects too; entries already resident are skipped
+// without counting.
+//
+// An absent manifest is not an error: the graph simply was not published
+// and the adopter stays cold.
+func (x *Index) AdoptGraph(store SnapshotStore, graphID string, g *graph.Graph) (int, error) {
+	x.snapMu.Lock()
+	defer x.snapMu.Unlock()
+	return x.readEntries(store, storeGraphPrefix(graphID), graphID, map[string]*graph.Graph{graphID: g})
+}
+
+// storeGraphPrefix is the object prefix of one graph version's published
+// entries. The digest keeps client-chosen graph names (and '@'/'#' from
+// the versioned ID) out of object names.
+func storeGraphPrefix(graphID string) string {
+	sum := sha256.Sum256([]byte(graphID))
+	return "graphs/" + hex.EncodeToString(sum[:16])
+}
+
+// objectName is the store name of base under prefix; the state directory
+// uses the empty prefix.
+func objectName(prefix, base string) string {
+	if prefix == "" {
+		return base
+	}
+	return prefix + "/" + base
+}
+
+// writeEntries writes the resident collections keyed to graphID ("" =
+// every collection keyed by a GraphID) under prefix, then the manifest
+// listing them MRU first, and returns that manifest. An entry is skipped
+// when the store already lists its object and the previous manifest
+// records the object at least as complete as the resident entry. With
+// nothing to write, the manifest is deleted. Called with snapMu held.
+func (x *Index) writeEntries(store SnapshotStore, prefix, graphID string) (*snapshotManifest, error) {
+	// Copy the resident set under the lock; collections are immutable, so
+	// the (possibly slow) writes below need no lock.
+	x.mu.Lock()
+	var list []indexEntry
+	for el := x.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*indexEntry)
+		if e.graphID != "" && (graphID == "" || e.graphID == graphID) {
+			list = append(list, *e)
+		}
+	}
+	x.mu.Unlock()
+
+	manifestObj := objectName(prefix, manifestName)
+	man := &snapshotManifest{Version: manifestVersion, GraphID: graphID}
+	if len(list) == 0 {
+		return man, store.Delete(manifestObj)
+	}
+	names, err := store.List(prefix)
+	if err != nil {
+		return nil, err
+	}
+	listed := make(map[string]bool, len(names))
+	for _, name := range names {
+		listed[name] = true
+	}
+	// An unreadable previous manifest only costs rewriting every entry.
+	prev := map[string]manifestEntry{}
+	if old, _ := readManifest(store, manifestObj, graphID); old != nil {
+		for _, me := range old.Entries {
+			prev[me.File] = me
+		}
+	}
+	seen := map[string]bool{}
+	for _, e := range list {
+		name := snapshotFileName(e.key)
+		if seen[name] {
+			continue // digest collision between live keys: keep the hotter entry
+		}
+		seen[name] = true
+		me := manifestEntry{
+			File: name, GraphID: e.graphID, Bytes: e.bytes,
+			HasOrder: e.order != nil, HasPostings: e.col.HasPostings(),
+			Request: requestMetaOf(e.req),
+		}
+		obj := objectName(prefix, name)
+		if p := prev[name]; listed[obj] && (p.HasOrder || !me.HasOrder) && (p.HasPostings || !me.HasPostings) {
+			// The stored object is at least as complete as the resident
+			// entry: reuse it. It may carry sections the entry has not
+			// (re)computed yet. The request meta lives in the manifest, so
+			// it is refreshed regardless.
+			me.HasOrder, me.HasPostings = p.HasOrder, p.HasPostings
+		} else {
+			snap := &rrset.Snapshot{Key: e.key, GraphID: e.graphID, GraphN: e.graph.N(), GraphM: e.graph.M(),
+				Collection: e.col, Order: e.order}
+			if err := store.Put(obj, func(w io.Writer) error {
+				_, err := snap.WriteTo(w)
+				return err
+			}); err != nil {
+				return nil, err
+			}
+		}
+		man.Entries = append(man.Entries, me)
+	}
+	return man, store.Put(manifestObj, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(man)
+	})
+}
+
+// readEntries admits the entries of the manifest under prefix, resolving
+// each entry's GraphID through graphs, and returns how many it inserted.
+// The manifest must record graphID. Entries are admitted MRU first while
+// they fit the byte budget and inserted so the manifest's LRU order is
+// preserved. Called with snapMu held.
+func (x *Index) readEntries(store SnapshotStore, prefix, graphID string, graphs map[string]*graph.Graph) (int, error) {
+	man, err := readManifest(store, objectName(prefix, manifestName), graphID)
 	if errors.Is(err, fs.ErrNotExist) {
-		setDir()
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	var man snapshotManifest
-	//comic:allow lockorder encoding/json's one-time type-cache build parks on a WaitGroup; nothing hot blocks on snapMu
-	if err := json.Unmarshal(data, &man); err != nil || man.Version != manifestVersion {
-		// A torn or foreign manifest forfeits the snapshot, not the boot.
-		setDir()
-		x.mu.Lock()
-		x.stats.RestoreRejects++
-		x.mu.Unlock()
-		return 0, nil
-	}
-
-	type loadedEntry struct {
-		key, graphID string
-		col          *rrset.Collection
-		order        *rrset.SeedOrder
-		req          *rrset.CollectionRequest
-		g            *graph.Graph
-		bytes        int64
-		orderBytes   int64
-	}
-	var accepted []loadedEntry
-	var acceptedBytes int64
 	var rejects int64
+	if man == nil {
+		rejects++ // a torn or foreign manifest forfeits the snapshot
+		man = &snapshotManifest{}
+	}
+	x.mu.Lock()
+	resident := make(map[string]bool, len(x.entries))
+	for key := range x.entries {
+		resident[snapshotFileName(key)] = true
+	}
+	x.mu.Unlock()
+
+	var accepted []*indexEntry
+	var acceptedBytes int64
 	budgetFull := false
 	for _, me := range man.Entries {
-		if budgetFull {
+		if resident[me.File] {
+			continue // already warm; never replace a live entry
+		}
+		g, known := graphs[me.GraphID]
+		if !known || budgetFull {
+			// A graph this index does not serve (deleted, config changed,
+			// another version), or the budget is full: the entry is intact
+			// and keeps its object. Once one entry exceeds the budget,
+			// nothing colder is admitted either, exactly as if the rest had
+			// been evicted.
 			rejects++
 			continue
 		}
-		// A file rejected for content (corrupt, truncated, wrong version,
-		// wrong key or graph) is deleted: the collection will be rebuilt in
-		// memory under the same key, and SaveSnapshot's skip-if-exists
-		// optimization would otherwise re-reference the bad file forever,
-		// leaving this entry permanently cold across restarts. Budget and
-		// unknown-GraphID rejections keep their files — those entries are
-		// intact and may become restorable again (a larger budget, a
-		// dataset added back to the config).
-		path := filepath.Join(dir, me.File)
-		g, ok := graphs[me.GraphID]
-		if !ok {
-			rejects++ // graph gone (deleted, or config changed): stale entry
+		obj := objectName(prefix, me.File)
+		snap, err := readSnapshot(store, obj)
+		if err != nil || snap.GraphID != me.GraphID || snapshotFileName(snap.Key) != me.File ||
+			snap.GraphN != g.N() || snap.GraphM != g.M() {
+			// Corrupt, truncated, wrong version, missing, or not the entry
+			// the manifest names. Deleting it makes the next save or
+			// publish rewrite it instead of re-listing the bad object.
+			rejects++
+			store.Delete(obj) //comic:allow errlost best-effort; a surviving bad object is re-rejected next read
 			continue
 		}
-		//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-		snap, err := readSnapshotFile(path)
-		if err != nil {
-			rejects++ // corrupt / truncated / wrong version / missing
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
-			continue
-		}
-		if snap.GraphID != me.GraphID || snapshotFileName(snap.Key) != me.File {
-			rejects++ // entry file does not belong where the manifest says
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
-			continue
-		}
-		if snap.GraphN != g.N() || snap.GraphM != g.M() {
-			rejects++ // the same N/M misuse guard the live index applies
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
-			continue
-		}
-		b := snap.Collection.Bytes()
-		var ob int64
+		e := &indexEntry{key: snap.Key, graphID: me.GraphID, col: snap.Collection, graph: g,
+			bytes: snap.Collection.Bytes(), order: snap.Order}
 		if snap.Order != nil {
-			ob = snap.Order.Bytes()
+			e.orderBytes = snap.Order.Bytes() // resident memory like the arena
 		}
-		if x.maxBytes > 0 && acceptedBytes+b+ob > x.maxBytes {
-			// The restored set is always the most-recently-used prefix:
-			// once an entry exceeds the budget, nothing colder is admitted
-			// either, exactly as if the rest had been evicted. The memoized
-			// order counts too — it is resident memory like the arena.
+		if x.maxBytes > 0 && acceptedBytes+e.bytes+e.orderBytes > x.maxBytes {
 			budgetFull = true
 			rejects++
 			continue
@@ -455,44 +539,57 @@ func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, e
 		// a mismatch (hand-edited manifest, foreign key format) demotes the
 		// entry to servable-but-not-repairable rather than risking a repair
 		// under the wrong parameters.
-		var req *rrset.CollectionRequest
 		if me.Request != nil {
 			if cand := me.Request.toRequest(me.GraphID, g); cand.Key() == snap.Key {
-				req = cand
+				e.req = cand
 			}
 		}
-		acceptedBytes += b + ob
-		accepted = append(accepted, loadedEntry{snap.Key, me.GraphID, snap.Collection, snap.Order, req, g, b, ob})
+		acceptedBytes += e.bytes + e.orderBytes
+		accepted = append(accepted, e)
 	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	restored := 0
 	for i := len(accepted) - 1; i >= 0; i-- { // coldest first: PushFront rebuilds MRU order
-		l := accepted[i]
-		if _, ok := x.entries[l.key]; ok {
-			continue
+		e := accepted[i]
+		if _, ok := x.entries[e.key]; ok {
+			continue // a racing build landed while we read the store
 		}
-		e := &indexEntry{key: l.key, graphID: l.graphID, col: l.col, graph: l.g, bytes: l.bytes,
-			order: l.order, orderBytes: l.orderBytes, req: l.req}
-		x.entries[l.key] = x.lru.PushFront(e)
-		x.bytes += l.bytes + l.orderBytes
-		x.orderBytes += l.orderBytes
+		x.entries[e.key] = x.lru.PushFront(e)
+		x.bytes += e.bytes + e.orderBytes
+		x.orderBytes += e.orderBytes
 		restored++
 	}
-	x.snapDir = dir
+	x.evictOverBudgetLocked()
 	x.stats.Restores += int64(restored)
 	x.stats.RestoreRejects += rejects
 	return restored, nil
 }
 
-func readSnapshotFile(path string) (*rrset.Snapshot, error) {
-	f, err := os.Open(path)
+// readManifest reads the manifest object name. A manifest that does not
+// decode, has another format version, or records another GraphID yields
+// (nil, nil); store errors, fs.ErrNotExist included, are returned.
+func readManifest(store SnapshotStore, name, graphID string) (*snapshotManifest, error) {
+	rc, err := store.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return rrset.ReadCollection(f)
+	defer rc.Close()
+	var man snapshotManifest
+	if json.NewDecoder(rc).Decode(&man) != nil || man.Version != manifestVersion || man.GraphID != graphID {
+		return nil, nil
+	}
+	return &man, nil
+}
+
+func readSnapshot(store SnapshotStore, name string) (*rrset.Snapshot, error) {
+	rc, err := store.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return rrset.ReadCollection(rc)
 }
 
 // --- graph registry persistence ---
