@@ -3,10 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,12 +20,9 @@ import (
 // fixed θ — so the record captures the per-request overhead the batch
 // amortizes, plus the build/selection split.
 type batchBenchRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	SweepK     int     `json:"sweepK"`
-	Seed       uint64  `json:"seed"`
-	FixedTheta int     `json:"fixedTheta"`
+	benchHeader
+	SweepK     int `json:"sweepK"`
+	FixedTheta int `json:"fixedTheta"`
 	// BatchNs is the wall time of the one batch request; SequentialNs the
 	// summed wall time of the K sequential requests (fresh server each, so
 	// both sweeps start cold).
@@ -46,71 +41,31 @@ type batchBenchRecord struct {
 // mirroring what a campaign-planning client does: sweep the seed budget
 // over one graph/GAP/opposite configuration and compare spreads.
 func runBatchBench(cfg experiments.Config) (*batchBenchRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
+	s, err := newBenchSetup("batch", cfg, 10)
 	if err != nil {
 		return nil, err
-	}
-	sweepK := cfg.K
-	if sweepK <= 0 {
-		sweepK = 10
-	}
-	theta := cfg.FixedTheta
-	if theta <= 0 {
-		theta = 20000
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
 	}
 	// Make B indifferent to A so each solve needs exactly one collection
 	// (the RR-SIM+ exact path): the sweep then costs one cold build plus
 	// sweepK−1 warm selections, the contract the batch endpoint exists for.
-	gap := d.GAP
+	gap := s.d.GAP
 	gap.QB0 = gap.QBA
 	gapJSON := fmt.Sprintf(`{"qa0":%g,"qab":%g,"qb0":%g,"qba":%g}`, gap.QA0, gap.QAB, gap.QB0, gap.QBA)
 
-	queries := make([]string, sweepK)
-	for k := 1; k <= sweepK; k++ {
+	queries := make([]string, s.k)
+	for k := 1; k <= s.k; k++ {
 		queries[k-1] = fmt.Sprintf(
 			`{"op":"selfinfmax","dataset":%q,"gap":%s,"k":%d,"seedsB":[1,2,3],"fixedTheta":%d,"evalRuns":%d,"seed":%d}`,
-			name, gapJSON, k, theta, mc, cfg.Seed)
+			s.Dataset, gapJSON, k, s.theta, s.mc, cfg.Seed)
 	}
 
 	newServer := func() (*server.Server, error) {
 		return server.New(server.Config{
-			Datasets: map[string]*comic.Dataset{name: d},
-			MaxK:     max(500, sweepK),
+			Datasets: map[string]*comic.Dataset{s.Dataset: s.d},
+			MaxK:     max(500, s.k),
 		})
 	}
-	post := func(s *server.Server, path, body string) ([]byte, error) {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("%s = %d: %s", path, rec.Code, rec.Body.String())
-		}
-		return rec.Body.Bytes(), nil
-	}
-	lastSeeds := func(raw json.RawMessage) ([]int32, error) {
-		var r struct {
-			Seeds []int32 `json:"seeds"`
-		}
-		uerr := json.Unmarshal(raw, &r)
-		return r.Seeds, uerr
-	}
-
-	rec := &batchBenchRecord{
-		Experiment: "batch",
-		Dataset:    name,
-		Scale:      cfg.Scale,
-		SweepK:     sweepK,
-		Seed:       cfg.Seed,
-		FixedTheta: theta,
-	}
+	rec := &batchBenchRecord{benchHeader: s.benchHeader, SweepK: s.k, FixedTheta: s.theta}
 
 	// One /v1/batch request, cold server.
 	sBatch, err := newServer()
@@ -128,7 +83,7 @@ func runBatchBench(cfg experiments.Config) (*batchBenchRecord, error) {
 		Results []struct {
 			Status int             `json:"status"`
 			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
+			Result solveRespRecord `json:"result"`
 		} `json:"results"`
 	}
 	if uerr := json.Unmarshal(body, &batchOut); uerr != nil {
@@ -141,11 +96,7 @@ func runBatchBench(cfg experiments.Config) (*batchBenchRecord, error) {
 	}
 	st := sBatch.Index().Stats()
 	rec.BatchBuilds, rec.BatchHits = st.Misses, st.Hits
-	batchSeeds, err := lastSeeds(batchOut.Results[sweepK-1].Result)
-	if err != nil {
-		return nil, err
-	}
-	rec.Seeds = batchSeeds
+	rec.Seeds = batchOut.Results[s.k-1].Result.Seeds
 
 	// The same sweep as sequential requests, fresh cold server.
 	sSeq, err := newServer()
@@ -166,37 +117,23 @@ func runBatchBench(cfg experiments.Config) (*batchBenchRecord, error) {
 
 	// Determinism parity: the k = sweepK selection must be identical on
 	// both paths.
-	seqSeeds, err := lastSeeds(seqLast)
-	if err != nil {
+	var seq solveRespRecord
+	if err := json.Unmarshal(seqLast, &seq); err != nil {
 		return nil, err
 	}
-	if fmt.Sprint(seqSeeds) != fmt.Sprint(batchSeeds) {
-		return nil, fmt.Errorf("batch seeds %v diverged from sequential seeds %v", batchSeeds, seqSeeds)
+	if !slices.Equal(seq.Seeds, rec.Seeds) {
+		return nil, fmt.Errorf("batch seeds %v diverged from sequential seeds %v", rec.Seeds, seq.Seeds)
 	}
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *batchBenchRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "batch k-sweep benchmark: %s scale %g, k=1..%d, theta %d, seed %d\n",
-		r.Dataset, r.Scale, r.SweepK, r.FixedTheta, r.Seed)
-	printf(w, &werr, "  one batch request: %v (%d builds, %d warm hits)\n",
-		time.Duration(r.BatchNs), r.BatchBuilds, r.BatchHits)
-	printf(w, &werr, "  %d sequential requests: %v (%d builds, %d warm hits)\n",
-		r.SweepK, time.Duration(r.SequentialNs), r.SequentialBuilds, r.SequentialHits)
-	printf(w, &werr, "  amortization: %.2fx\n", float64(r.SequentialNs)/float64(r.BatchNs))
-	printf(w, &werr, "  seeds(k=%d) %v\n", r.SweepK, r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+func (r *batchBenchRecord) summary() string {
+	return fmt.Sprintf("batch k-sweep benchmark: %s scale %g, k=1..%d, theta %d, seed %d\n",
+		r.Dataset, r.Scale, r.SweepK, r.FixedTheta, r.Seed) +
+		fmt.Sprintf("  one batch request: %v (%d builds, %d warm hits)\n",
+			time.Duration(r.BatchNs), r.BatchBuilds, r.BatchHits) +
+		fmt.Sprintf("  %d sequential requests: %v (%d builds, %d warm hits)\n",
+			r.SweepK, time.Duration(r.SequentialNs), r.SequentialBuilds, r.SequentialHits) +
+		fmt.Sprintf("  amortization: %.2fx\n", float64(r.SequentialNs)/float64(r.BatchNs)) +
+		fmt.Sprintf("  seeds(k=%d) %v\n", r.SweepK, r.Seeds)
 }

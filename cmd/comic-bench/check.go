@@ -80,22 +80,11 @@ func timingKey(path string) bool {
 // record) in parallel, recording mismatches. Timing leaves go to warns,
 // everything else to diffs.
 func compareJSON(path string, want, got any, diffs, warns *[]string) {
-	report := func(format string, args ...any) {
-		msg := fmt.Sprintf("%s: ", path) + fmt.Sprintf(format, args...)
-		if path == "" {
-			msg = strings.TrimPrefix(msg, ": ")
-		}
-		if timingKey(path) {
-			*warns = append(*warns, msg)
-		} else {
-			*diffs = append(*diffs, msg)
-		}
-	}
 	switch w := want.(type) {
 	case map[string]any:
 		g, ok := got.(map[string]any)
 		if !ok {
-			report("committed has an object, fresh has %T", got)
+			classify(path, fmt.Sprintf("committed has an object, fresh has %T", got), diffs, warns)
 			return
 		}
 		keys := map[string]bool{}
@@ -119,9 +108,9 @@ func compareJSON(path string, want, got any, diffs, warns *[]string) {
 			gv, gok := g[k]
 			switch {
 			case !wok:
-				reportAt(sub, "present only in fresh record", diffs, warns)
+				classify(sub, "present only in fresh record", diffs, warns)
 			case !gok:
-				reportAt(sub, "missing from fresh record", diffs, warns)
+				classify(sub, "missing from fresh record", diffs, warns)
 			default:
 				compareJSON(sub, wv, gv, diffs, warns)
 			}
@@ -129,11 +118,11 @@ func compareJSON(path string, want, got any, diffs, warns *[]string) {
 	case []any:
 		g, ok := got.([]any)
 		if !ok {
-			report("committed has an array, fresh has %T", got)
+			classify(path, fmt.Sprintf("committed has an array, fresh has %T", got), diffs, warns)
 			return
 		}
 		if len(w) != len(g) {
-			report("array length %d (committed) vs %d (fresh)", len(w), len(g))
+			classify(path, fmt.Sprintf("array length %d (committed) vs %d (fresh)", len(w), len(g)), diffs, warns)
 			return
 		}
 		for i := range w {
@@ -141,16 +130,20 @@ func compareJSON(path string, want, got any, diffs, warns *[]string) {
 		}
 	default:
 		if want != got {
-			report("committed %v vs fresh %v", want, got)
+			classify(path, fmt.Sprintf("committed %v vs fresh %v", want, got), diffs, warns)
 		}
 	}
 }
 
-func reportAt(path, msg string, diffs, warns *[]string) {
-	full := fmt.Sprintf("%s: %s", path, msg)
+// classify records msg against the field at path: a timing leaf's
+// mismatch goes to warns, any other to diffs.
+func classify(path, msg string, diffs, warns *[]string) {
+	if path != "" {
+		msg = path + ": " + msg
+	}
 	if timingKey(path) {
-		*warns = append(*warns, full)
+		*warns = append(*warns, msg)
 	} else {
-		*diffs = append(*diffs, full)
+		*diffs = append(*diffs, msg)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,13 +37,10 @@ import (
 // nodes, if any proxied solve diverges from the owner's by a byte, or if
 // the rebalance rebuilds any collection instead of moving it.
 type clusterBenchRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	K          int     `json:"k"`
-	Opposite   int     `json:"opposite"`
-	Seed       uint64  `json:"seed"`
-	MC         int     `json:"mc"`
+	benchHeader
+	K        int `json:"k"`
+	Opposite int `json:"opposite"`
+	MC       int `json:"mc"`
 	// Nodes and GraphNames fix the fleet: three members, and the graphs
 	// selected (deterministically, from the synthetic candidate stream)
 	// so that every node owns exactly GraphsPerNode of them.
@@ -94,37 +92,21 @@ const (
 // scaling versus one node, and a zero-rebuild rebalance when a member
 // leaves.
 func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
-	base := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		base = cfg.DatasetNames[0]
+	s, err := newBenchSetup("cluster", cfg, 10)
+	if err != nil {
+		return nil, err
 	}
-	k := cfg.K
-	if k <= 0 {
-		k = 10
-	}
-	opp := cfg.OppositeSize
-	if opp <= 0 {
-		opp = 10
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
-	}
-
 	rec := &clusterBenchRecord{
-		Experiment:    "cluster",
-		Dataset:       base,
-		Scale:         cfg.Scale,
-		K:             k,
-		Opposite:      opp,
-		Seed:          cfg.Seed,
-		MC:            mc,
+		benchHeader:   s.benchHeader,
+		K:             s.k,
+		Opposite:      s.opp,
+		MC:            s.mc,
 		Nodes:         clusterNodeIDs,
 		GraphsPerNode: clusterGraphsPerNode,
 		Seeds:         map[string][]int32{},
 	}
 
-	selected, err := selectBalancedGraphs(base, cfg.Scale, clusterNodeIDs, clusterGraphsPerNode)
+	selected, err := selectBalancedGraphs(s.Dataset, cfg.Scale, clusterNodeIDs, clusterGraphsPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -135,9 +117,9 @@ func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
 	for _, sg := range selected {
 		body, mErr := json.Marshal(map[string]any{
 			"dataset":  sg.name,
-			"k":        k,
-			"seedsB":   comic.HighDegreeSeeds(sg.dataset.Graph, opp),
-			"evalRuns": mc,
+			"k":        s.k,
+			"seedsB":   comic.HighDegreeSeeds(sg.dataset.Graph, s.opp),
+			"evalRuns": s.mc,
 			"seed":     cfg.Seed,
 		})
 		if mErr != nil {
@@ -168,7 +150,7 @@ func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
 			}
 			if rep == 0 {
 				rec.Seeds[sg.name] = seeds
-			} else if fmt.Sprint(seeds) != fmt.Sprint(rec.Seeds[sg.name]) {
+			} else if !slices.Equal(seeds, rec.Seeds[sg.name]) {
 				return nil, fmt.Errorf("single-node solve %s not deterministic", sg.name)
 			}
 		}
@@ -231,7 +213,7 @@ func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("direct solve %s: %w", sg.name, err)
 		}
-		if fmt.Sprint(direct) != fmt.Sprint(rec.Seeds[sg.name]) {
+		if !slices.Equal(direct, rec.Seeds[sg.name]) {
 			rec.SeedDivergence++
 		}
 		for _, n := range nodes {
@@ -243,7 +225,7 @@ func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
 			if err != nil {
 				return nil, fmt.Errorf("proxied solve %s via %s: %w", sg.name, n.id, err)
 			}
-			if fmt.Sprint(proxied) != fmt.Sprint(direct) {
+			if !slices.Equal(proxied, direct) {
 				rec.SeedDivergence++
 			}
 		}
@@ -272,7 +254,7 @@ func runClusterBench(cfg experiments.Config) (*clusterBenchRecord, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cluster solve %s: %w", sg.name, err)
 			}
-			if fmt.Sprint(seeds) != fmt.Sprint(rec.Seeds[sg.name]) {
+			if !slices.Equal(seeds, rec.Seeds[sg.name]) {
 				return nil, fmt.Errorf("cluster solve %s diverged from the single-node seeds", sg.name)
 			}
 		}
@@ -655,7 +637,7 @@ func rebalanceOut(rec *clusterBenchRecord, nodes []*benchNode, fleet []selectedG
 		if err != nil {
 			return fmt.Errorf("post-rebalance solve %s: %w", sg.name, err)
 		}
-		if fmt.Sprint(seeds) != fmt.Sprint(rec.Seeds[sg.name]) {
+		if !slices.Equal(seeds, rec.Seeds[sg.name]) {
 			return fmt.Errorf("post-rebalance solve %s diverged from the pre-rebalance seeds", sg.name)
 		}
 	}
@@ -704,34 +686,14 @@ func putMembership(baseURL string, members []cluster.Member, phase string) (clus
 	return wrapper.Rebalance, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *clusterBenchRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "cluster benchmark: %s scale %g, %d graphs over %d nodes (k=%d, mc=%d, seed %d)\n",
-		r.Dataset, r.Scale, len(r.GraphNames), len(r.Nodes), r.K, r.MC, r.Seed)
-	var maxBusy int64
-	for _, b := range r.ClusterBusyNs {
-		if b > maxBusy {
-			maxBusy = b
-		}
-	}
-	printf(w, &werr, "  warm workload busy time: single node %v, busiest cluster node %v (%.2fx)\n",
-		time.Duration(r.SingleBusyNs), time.Duration(maxBusy),
-		float64(r.SingleBusyNs)/float64(maxBusy))
-	printf(w, &werr, "  cross-node parity: %d proxied solves, %d divergent\n", r.ProxiedChecks, r.SeedDivergence)
-	printf(w, &werr, "  rebalance (n3 out): %d graphs moved, %d entries published, %d adopted, %d rebuilt in %v\n",
-		r.GraphsMoved, r.RebalancePublished, r.RebalanceAdopted, r.RebalanceRebuilds,
-		time.Duration(r.RebalanceNs))
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+func (r *clusterBenchRecord) summary() string {
+	maxBusy := slices.Max(append([]int64{0}, r.ClusterBusyNs...))
+	return fmt.Sprintf("cluster benchmark: %s scale %g, %d graphs over %d nodes (k=%d, mc=%d, seed %d)\n",
+		r.Dataset, r.Scale, len(r.GraphNames), len(r.Nodes), r.K, r.MC, r.Seed) +
+		fmt.Sprintf("  warm workload busy time: single node %v, busiest cluster node %v (%.2fx)\n",
+			time.Duration(r.SingleBusyNs), time.Duration(maxBusy), float64(r.SingleBusyNs)/float64(maxBusy)) +
+		fmt.Sprintf("  cross-node parity: %d proxied solves, %d divergent\n", r.ProxiedChecks, r.SeedDivergence) +
+		fmt.Sprintf("  rebalance (n3 out): %d graphs moved, %d entries published, %d adopted, %d rebuilt in %v\n",
+			r.GraphsMoved, r.RebalancePublished, r.RebalanceAdopted, r.RebalanceRebuilds,
+			time.Duration(r.RebalanceNs))
 }

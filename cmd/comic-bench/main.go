@@ -17,8 +17,11 @@
 //
 // Experiment ids: table1, table2, table3, table4, table5-7, table8, fig4,
 // fig5, fig6, fig7a, fig7b, fig8, selfinfmax, batch, restore, regimes,
-// warmpath, stream, cluster, all. At -scale 1 the datasets match the paper's Table 1 sizes (slow on a
-// laptop); the default 0.05 reproduces the shapes in minutes.
+// warmpath, stream, cluster, all. At -scale 1 the datasets match the paper's
+// Table 1 sizes (slow on a laptop); the default 0.05 reproduces the shapes
+// in minutes. The paper ids (and all) print tables; the serving-path ids
+// print a summary and, with -json FILE, write their trajectory record.
+// -json with a paper id is a usage error.
 //
 // The selfinfmax experiment times one cold and one warm SelfInfMax solve
 // against a shared RR-set index and, with -json FILE, writes a
@@ -83,20 +86,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"comic"
 	"comic/internal/experiments"
 	"comic/internal/stats"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (table1..table8, fig4..fig8, selfinfmax, batch, all)")
+		exp        = flag.String("exp", "all", "experiment id: "+strings.Join(experimentIDs(), ", ")+", or all (every paper table and figure)")
 		scale      = flag.Float64("scale", 0.05, "dataset scale in (0, 1]")
 		seed       = flag.Uint64("seed", 42, "master random seed")
 		mcRuns     = flag.Int("mc", 2000, "Monte-Carlo evaluation runs per seed set")
@@ -106,7 +107,7 @@ func main() {
 		fixedTheta = flag.Int("theta", 0, "fixed RR-set budget (0 = epsilon-driven)")
 		greedy     = flag.Bool("greedy", false, "include the Monte-Carlo Greedy baseline (slow)")
 		dsets      = flag.String("datasets", "", "comma-separated dataset subset (default all)")
-		jsonOut    = flag.String("json", "", "write the benchmark record to this file")
+		jsonOut    = flag.String("json", "", "write the trajectory record of a serving-path experiment to this file")
 		check      = flag.Bool("check", false, "compare a fresh benchmark JSON (first arg) against a committed trajectory file (second arg); timings warn-only")
 	)
 	flag.Parse()
@@ -138,338 +139,189 @@ func main() {
 		cfg.DatasetNames = strings.Split(*dsets, ",")
 	}
 
-	if *exp == "selfinfmax" {
-		rec, err := runSelfInfMaxBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: selfinfmax: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: selfinfmax: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	todo, err := selectExperiments(*exp, *jsonOut)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "comic-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *exp == "batch" {
-		rec, err := runBatchBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: batch: %v\n", err)
+	for _, e := range todo {
+		if err := e.execute(cfg, *jsonOut); err != nil {
+			fmt.Fprintf(os.Stderr, "comic-bench: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: batch: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if *exp == "restore" {
-		rec, err := runRestoreBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: restore: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: restore: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "warmpath" {
-		rec, err := runWarmPathBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: warmpath: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: warmpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "regimes" {
-		rec, err := runRegimesBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: regimes: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: regimes: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "stream" {
-		rec, err := runStreamBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "cluster" {
-		rec, err := runClusterBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"table1", "table2", "table3", "table4", "table5-7", "table8",
-			"fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8"}
+// experiment is one -exp id. Exactly one of tables (the paper's tables and
+// figures) and record (the serving-path trajectory experiments) is set.
+type experiment struct {
+	id     string
+	tables func(experiments.Config) ([]*stats.Table, error)
+	record func(experiments.Config) (record, error)
+}
+
+// record is a trajectory experiment's output: it prints a human-readable
+// summary and is written verbatim as JSON by -json.
+type record interface {
+	summary() string
+}
+
+// experimentTable lists every -exp id in usage order; "all" runs the
+// entries with tables.
+var experimentTable = []experiment{
+	{id: "table1", tables: oneTable(experiments.Table1)},
+	{id: "table2", tables: manyTables(experiments.Table2)},
+	{id: "table3", tables: manyTables(experiments.Table3)},
+	{id: "table4", tables: manyTables(experiments.Table4)},
+	{id: "table5-7", tables: oneTable(experiments.Table5to7)},
+	{id: "table8", tables: oneTable(experiments.Table8)},
+	{id: "fig4", tables: oneTable(func(cfg experiments.Config) (*experiments.Figure4Result, error) {
+		return experiments.Figure4(cfg, nil)
+	})},
+	{id: "fig5", tables: oneTable(experiments.Figure5)},
+	{id: "fig6", tables: figure6},
+	{id: "fig7a", tables: oneTable(experiments.Figure7Time)},
+	{id: "fig7b", tables: oneTable(func(cfg experiments.Config) (*experiments.Figure7ScaleResult, error) {
+		return experiments.Figure7Scale(cfg, nil)
+	})},
+	{id: "fig8", tables: oneTable(experiments.Figure8)},
+	{id: "selfinfmax", record: asRecord(runSelfInfMaxBench)},
+	{id: "batch", record: asRecord(runBatchBench)},
+	{id: "restore", record: asRecord(runRestoreBench)},
+	{id: "regimes", record: asRecord(runRegimesBench)},
+	{id: "warmpath", record: asRecord(runWarmPathBench)},
+	{id: "stream", record: asRecord(runStreamBench)},
+	{id: "cluster", record: asRecord(runClusterBench)},
+}
+
+// experimentAliases are the accepted spellings of one combined table.
+var experimentAliases = map[string]string{"table5": "table5-7", "table6": "table5-7", "table7": "table5-7"}
+
+func experimentIDs() []string {
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
 	}
-	for _, id := range ids {
-		start := time.Now()
-		tables, err := run(id, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: %s: %v\n", id, err)
-			os.Exit(1)
+	return ids
+}
+
+// lookup resolves an -exp id, or an alias of one, to its table entry.
+func lookup(id string) (experiment, bool) {
+	if canon, ok := experimentAliases[id]; ok {
+		id = canon
+	}
+	for _, e := range experimentTable {
+		if e.id == id {
+			return e, true
 		}
-		for _, t := range tables {
-			if err := t.Render(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "comic-bench: render: %v\n", err)
-				os.Exit(1)
+	}
+	return experiment{}, false
+}
+
+// selectExperiments resolves -exp to the entries to run, rejecting an
+// unknown id and a -json path for an id that produces no record.
+func selectExperiments(id, jsonPath string) ([]experiment, error) {
+	var todo []experiment
+	if id == "all" {
+		for _, e := range experimentTable {
+			if e.tables != nil {
+				todo = append(todo, e)
 			}
-			fmt.Println()
 		}
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+	} else if e, ok := lookup(id); ok {
+		todo = []experiment{e}
+	} else {
+		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
+	if jsonPath != "" && todo[0].record == nil {
+		return nil, fmt.Errorf("-json needs a trajectory experiment; %q writes no record", id)
+	}
+	return todo, nil
 }
 
-// benchRecord is the machine-readable output of the selfinfmax experiment:
-// one line of the serving path's performance trajectory, written as
-// BENCH_selfinfmax.json by CI so regressions show up PR-over-PR.
-type benchRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	K          int     `json:"k"`
-	Seed       uint64  `json:"seed"`
-	Epsilon    float64 `json:"epsilon"`
-	FixedTheta int     `json:"fixedTheta,omitempty"`
-	// Theta sums the RR-set budgets over the sandwich candidates; the
-	// phase durations sum the same way (a non-B-indifferent GAP needs a
-	// lower and an upper collection).
-	Theta    int   `json:"theta"`
-	KPTNs    int64 `json:"kptNs"`
-	GenNs    int64 `json:"genNs"`
-	SelectNs int64 `json:"selectNs"`
-	// CollectionBytes is the exact resident size of the built collections
-	// (Collection.Bytes over the shared index).
-	CollectionBytes int64 `json:"collectionBytes"`
-	// ColdNs is one solve against an empty index (build + select + MC
-	// evaluation); WarmNs is the same solve answered from the warm index.
-	// WarmNs still times the full round trip — Monte-Carlo evaluation
-	// included — so SelectWarmNs separates out the seed-selection part of
-	// the warm solve (the sum of the warm candidates' SelectDuration), the
-	// number the memoized orderings actually drive to sub-millisecond.
-	ColdNs       int64   `json:"coldNs"`
-	WarmNs       int64   `json:"warmNs"`
-	SelectWarmNs int64   `json:"selectWarmNs"`
-	Seeds        []int32 `json:"seeds"`
-}
-
-// runSelfInfMaxBench times one cold and one warm SelfInfMax solve through
-// the RR-set index, mirroring what the query server does per request.
-func runSelfInfMaxBench(cfg experiments.Config) (*benchRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
-	if err != nil {
-		return nil, err
-	}
-	k := cfg.K
-	if k <= 0 {
-		k = 10
-	}
-	oppSize := cfg.OppositeSize
-	if oppSize <= 0 {
-		oppSize = 10
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
-	}
-	seedsB := comic.HighDegreeSeeds(d.Graph, oppSize)
-
-	idx := comic.NewRRIndex(0)
-	opts := comic.Options{
-		Epsilon:    cfg.Epsilon,
-		FixedTheta: cfg.FixedTheta,
-		MaxTheta:   cfg.MaxTheta,
-		EvalRuns:   mc,
-		Seed:       cfg.Seed,
-		Index:      idx,
-		GraphID:    name,
-	}
-	t0 := time.Now()
-	res, err := comic.SelfInfMax(d.Graph, d.GAP, seedsB, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	coldNs := time.Since(t0).Nanoseconds()
-	t1 := time.Now()
-	warmRes, err := comic.SelfInfMax(d.Graph, d.GAP, seedsB, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	warmNs := time.Since(t1).Nanoseconds()
-	var selectWarmNs int64
-	for i, c := range warmRes.Candidates {
-		if res.Candidates[i].Name != c.Name || fmt.Sprint(res.Candidates[i].Seeds) != fmt.Sprint(c.Seeds) {
-			return nil, fmt.Errorf("warm candidate %q diverged from cold", c.Name)
+// execute runs e and prints its tables or its record summary to stdout;
+// for a record and a non-empty jsonPath it also writes the record there.
+func (e experiment) execute(cfg experiments.Config, jsonPath string) error {
+	if e.record != nil {
+		rec, err := e.record(cfg)
+		if err != nil {
+			return err
 		}
-		if c.Stats != nil {
-			selectWarmNs += c.Stats.SelectDuration.Nanoseconds()
+		if _, err := fmt.Print(rec.summary()); err != nil {
+			return err
 		}
-	}
-
-	rec := &benchRecord{
-		Experiment:   "selfinfmax",
-		Dataset:      name,
-		Scale:        cfg.Scale,
-		K:            k,
-		Seed:         cfg.Seed,
-		Epsilon:      cfg.Epsilon,
-		FixedTheta:   cfg.FixedTheta,
-		ColdNs:       coldNs,
-		WarmNs:       warmNs,
-		SelectWarmNs: selectWarmNs,
-		Seeds:        res.Seeds,
-	}
-	for _, c := range res.Candidates {
-		if c.Stats == nil {
-			continue
+		if jsonPath == "" {
+			return nil
 		}
-		rec.Theta += c.Stats.Theta
-		rec.KPTNs += c.Stats.KPTDuration.Nanoseconds()
-		rec.GenNs += c.Stats.GenDuration.Nanoseconds()
-		rec.SelectNs += c.Stats.SelectDuration.Nanoseconds()
+		return writeRecord(jsonPath, rec)
 	}
-	rec.CollectionBytes = idx.Stats().ResidentBytes
-	return rec, nil
-}
-
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *benchRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "selfinfmax benchmark: %s scale %g, k=%d, seed %d\n", r.Dataset, r.Scale, r.K, r.Seed)
-	printf(w, &werr, "  theta %d across candidates; kpt %v, gen %v, select %v\n",
-		r.Theta, time.Duration(r.KPTNs), time.Duration(r.GenNs), time.Duration(r.SelectNs))
-	printf(w, &werr, "  resident collections: %d bytes (exact)\n", r.CollectionBytes)
-	printf(w, &werr, "  cold solve %v, warm solve %v (%.1fx); warm selection alone %v\n",
-		time.Duration(r.ColdNs), time.Duration(r.WarmNs), float64(r.ColdNs)/float64(r.WarmNs),
-		time.Duration(r.SelectWarmNs))
-	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	start := time.Now()
+	tables, err := e.tables(cfg)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	for _, t := range tables {
+		if err := t.Render(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
+	}
+	fmt.Printf("[%s completed in %v]\n\n", e.id, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
-func run(id string, cfg experiments.Config) ([]*stats.Table, error) {
-	switch id {
-	case "table1":
-		r, err := experiments.Table1(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "table2":
-		r, err := experiments.Table2(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	case "table3":
-		r, err := experiments.Table3(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	case "table4":
-		r, err := experiments.Table4(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	case "table5-7", "table5", "table6", "table7":
-		r, err := experiments.Table5to7(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "table8":
-		r, err := experiments.Table8(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "fig4":
-		r, err := experiments.Figure4(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "fig5":
-		r, err := experiments.Figure5(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "fig6":
-		r, err := experiments.Figure6(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t := r.Table()
-		baselines := make([]string, 0, len(r.BaselineSpread))
-		for name := range r.BaselineSpread {
-			baselines = append(baselines, name)
-		}
-		sort.Strings(baselines)
-		for _, name := range baselines {
-			t.AddRow(name, "sigmaA(SA, empty)", "-", stats.F2(r.BaselineSpread[name]))
-		}
-		return []*stats.Table{t}, nil
-	case "fig7a":
-		r, err := experiments.Figure7Time(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "fig7b":
-		r, err := experiments.Figure7Scale(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{r.Table()}, nil
-	case "fig8":
-		r, err := experiments.Figure8(cfg)
+// writeRecord writes rec to path as indented JSON with a trailing newline,
+// the byte format of the committed BENCH_*.json files.
+func writeRecord(path string, rec record) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// asRecord adapts a trajectory experiment's typed run function to the table.
+func asRecord[R record](run func(experiments.Config) (R, error)) func(experiments.Config) (record, error) {
+	return func(cfg experiments.Config) (record, error) { return run(cfg) }
+}
+
+// oneTable and manyTables adapt a paper experiment's typed run function to
+// the table, for results that render as one table or as several.
+func oneTable[R interface{ Table() *stats.Table }](run func(experiments.Config) (R, error)) func(experiments.Config) ([]*stats.Table, error) {
+	return func(cfg experiments.Config) ([]*stats.Table, error) {
+		r, err := run(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{r.Table()}, nil
 	}
-	return nil, fmt.Errorf("unknown experiment %q", id)
+}
+
+func manyTables[R interface{ Tables() []*stats.Table }](run func(experiments.Config) (R, error)) func(experiments.Config) ([]*stats.Table, error) {
+	return func(cfg experiments.Config) ([]*stats.Table, error) {
+		r, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+// figure6 renders Figure 6 with a row per baseline's own spread.
+func figure6(cfg experiments.Config) ([]*stats.Table, error) {
+	r, err := experiments.Figure6(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := r.Table()
+	baselines := make([]string, 0, len(r.BaselineSpread))
+	for name := range r.BaselineSpread {
+		baselines = append(baselines, name)
+	}
+	sort.Strings(baselines)
+	for _, name := range baselines {
+		t.AddRow(name, "sigmaA(SA, empty)", "-", stats.F2(r.BaselineSpread[name]))
+	}
+	return []*stats.Table{t}, nil
 }

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"comic/internal/experiments"
+	"comic/internal/stats"
 )
 
 func tinyConfig() experiments.Config {
@@ -22,11 +24,20 @@ func tinyConfig() experiments.Config {
 	}
 }
 
+// runTables runs a paper table or figure id through the experiment table.
+func runTables(id string, cfg experiments.Config) ([]*stats.Table, error) {
+	e, ok := lookup(id)
+	if !ok || e.tables == nil {
+		return nil, fmt.Errorf("%q is not a table or figure id", id)
+	}
+	return e.tables(cfg)
+}
+
 func TestRunAllIDs(t *testing.T) {
 	ids := []string{"table1", "table2", "table3", "table4", "table5-7", "table8",
 		"fig5", "fig6", "fig7a", "fig8"}
 	for _, id := range ids {
-		tables, err := run(id, tinyConfig())
+		tables, err := runTables(id, tinyConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -49,7 +60,7 @@ func TestRunFig4(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FixedTheta = 0
 	cfg.MaxTheta = 5000
-	tables, err := run("fig4", cfg)
+	tables, err := runTables("fig4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +70,66 @@ func TestRunFig4(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := run("table99", tinyConfig()); err == nil {
+	if _, err := selectExperiments("table99", ""); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// TestJSONNeedsARecord pins the -json usage rule: only the trajectory ids
+// write a record, so -json with a table or figure id (or all) is rejected
+// before anything runs instead of being silently ignored.
+func TestJSONNeedsARecord(t *testing.T) {
+	for _, id := range []string{"table2", "table5", "fig4", "all"} {
+		if _, err := selectExperiments(id, "out.json"); err == nil {
+			t.Errorf("-exp %s -json accepted", id)
+		}
+		if _, err := selectExperiments(id, ""); err != nil {
+			t.Errorf("-exp %s without -json rejected: %v", id, err)
+		}
+	}
+	for _, id := range []string{"selfinfmax", "batch", "restore", "regimes", "warmpath", "stream", "cluster"} {
+		todo, err := selectExperiments(id, "out.json")
+		if err != nil || len(todo) != 1 || todo[0].record == nil {
+			t.Errorf("-exp %s -json = %v, %v; want its record experiment", id, todo, err)
+		}
+	}
+}
+
+// TestTrajectoryExperiments runs the trajectory experiments that have no
+// dedicated test through the experiment table: each must return a record
+// headed by its own id, write it through writeRecord, and pass -check
+// against itself. cluster is left out: under -race it takes about 20 s,
+// and its 2.5x busy-time speedup floor is a timing ratio that a loaded
+// machine can miss (it read 2.50x in one of three -race runs), so its
+// trajectory step in CI gates it instead.
+func TestTrajectoryExperiments(t *testing.T) {
+	for _, id := range []string{"warmpath", "regimes", "stream"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := lookup(id)
+			if !ok || e.record == nil {
+				t.Fatalf("%s is not a trajectory experiment", id)
+			}
+			rec, err := e.record(tinyConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "BENCH_"+id+".json")
+			if werr := writeRecord(path, rec); werr != nil {
+				t.Fatal(werr)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var head benchHeader
+			if uerr := json.Unmarshal(data, &head); uerr != nil || head.Experiment != id {
+				t.Fatalf("record header = %+v, %v; want experiment %q", head, uerr, id)
+			}
+			var out, errOut bytes.Buffer
+			if cerr := runCheck(path, path, &out, &errOut); cerr != nil {
+				t.Fatal(cerr)
+			}
+		})
 	}
 }
 
@@ -86,8 +155,7 @@ func TestBatchBenchRecord(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_batch.json")
-	var buf bytes.Buffer
-	if rerr := rec.render(&buf, path); rerr != nil {
+	if rerr := writeRecord(path, rec); rerr != nil {
 		t.Fatal(rerr)
 	}
 	data, err := os.ReadFile(path)
@@ -124,11 +192,10 @@ func TestSelfInfMaxBenchRecord(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_selfinfmax.json")
-	var buf bytes.Buffer
-	if rerr := rec.render(&buf, path); rerr != nil {
+	if rerr := writeRecord(path, rec); rerr != nil {
 		t.Fatal(rerr)
 	}
-	if buf.Len() == 0 {
+	if rec.summary() == "" {
 		t.Fatal("render printed nothing")
 	}
 	data, err := os.ReadFile(path)

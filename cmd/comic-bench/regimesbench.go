@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+	"slices"
 	"time"
 
 	"comic"
@@ -33,11 +31,8 @@ type regimeBenchEntry struct {
 // the chosen plan recorded, so the planner's routing (and every route's
 // seed output) is pinned in the committed trajectory alongside its timing.
 type regimeBenchRecord struct {
-	Experiment string             `json:"experiment"`
-	Dataset    string             `json:"dataset"`
-	Scale      float64            `json:"scale"`
+	benchHeader
 	K          int                `json:"k"`
-	Seed       uint64             `json:"seed"`
 	FixedTheta int                `json:"fixedTheta"`
 	EvalRuns   int                `json:"evalRuns"`
 	GreedyRuns int                `json:"greedyRuns"`
@@ -50,32 +45,16 @@ type regimeBenchRecord struct {
 // independent cold runs must agree bit-for-bit) and routed to the regime
 // the record claims.
 func runRegimesBench(cfg experiments.Config) (*regimeBenchRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
+	s, err := newBenchSetup("regimes", cfg, 5)
 	if err != nil {
 		return nil, err
 	}
-	k := cfg.K
-	if k <= 0 {
-		k = 5
-	}
-	theta := cfg.FixedTheta
-	if theta <= 0 {
-		theta = 20000
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
-	}
 	greedyRuns := 100
-	seedsB := comic.HighDegreeSeeds(d.Graph, 5)
+	seedsB := comic.HighDegreeSeeds(s.d.Graph, 5)
 
 	// One GAP per regime, all anchored on the dataset's learned values so
 	// the rows stay comparable: only the cross-effect signs change.
-	base := d.GAP
+	base := s.d.GAP
 	gaps := []struct {
 		regime string
 		gap    comic.GAP
@@ -89,28 +68,25 @@ func runRegimesBench(cfg experiments.Config) (*regimeBenchRecord, error) {
 	}
 
 	rec := &regimeBenchRecord{
-		Experiment: "regimes",
-		Dataset:    name,
-		Scale:      cfg.Scale,
-		K:          k,
-		Seed:       cfg.Seed,
-		FixedTheta: theta,
-		EvalRuns:   mc,
-		GreedyRuns: greedyRuns,
+		benchHeader: s.benchHeader,
+		K:           s.k,
+		FixedTheta:  s.theta,
+		EvalRuns:    s.mc,
+		GreedyRuns:  greedyRuns,
 	}
 	for _, rg := range gaps {
 		solve := func() (*comic.SeedResult, error) {
 			// A fresh index per run keeps every timing a true cold solve
 			// and makes the determinism check cache-independent.
 			opts := comic.Options{
-				FixedTheta: theta,
-				EvalRuns:   mc,
+				FixedTheta: s.theta,
+				EvalRuns:   s.mc,
 				GreedyRuns: greedyRuns,
 				Seed:       cfg.Seed,
 				Index:      comic.NewRRIndex(0),
-				GraphID:    name,
+				GraphID:    s.Dataset,
 			}
-			return comic.SelfInfMax(d.Graph, rg.gap, seedsB, k, opts)
+			return comic.SelfInfMax(s.d.Graph, rg.gap, seedsB, s.k, opts)
 		}
 		t0 := time.Now()
 		res, err := solve()
@@ -125,7 +101,7 @@ func runRegimesBench(cfg experiments.Config) (*regimeBenchRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("regime %s (rerun): %w", rg.regime, err)
 		}
-		if fmt.Sprint(again.Seeds) != fmt.Sprint(res.Seeds) {
+		if !slices.Equal(again.Seeds, res.Seeds) {
 			return nil, fmt.Errorf("regime %s: seed divergence across identical cold solves: %v vs %v",
 				rg.regime, res.Seeds, again.Seeds)
 		}
@@ -151,25 +127,12 @@ func runRegimesBench(cfg experiments.Config) (*regimeBenchRecord, error) {
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *regimeBenchRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "regimes benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
+func (r *regimeBenchRecord) summary() string {
+	out := fmt.Sprintf("regimes benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
 		r.Dataset, r.Scale, r.K, r.FixedTheta, r.Seed)
 	for _, e := range r.Entries {
-		printf(w, &werr, "  %-24s -> %-9s cold %-12v seeds %v\n",
+		out += fmt.Sprintf("  %-24s -> %-9s cold %-12v seeds %v\n",
 			e.Regime, e.Algorithm, time.Duration(e.ColdNs), e.Seeds)
 	}
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return out
 }

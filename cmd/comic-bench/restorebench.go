@@ -3,11 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"comic"
@@ -22,12 +19,9 @@ import (
 // the run *fails* if the restored solve's seeds diverge from the cold
 // solve's, or if the restored server builds a single collection.
 type restoreBenchRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	K          int     `json:"k"`
-	Seed       uint64  `json:"seed"`
-	FixedTheta int     `json:"fixedTheta"`
+	benchHeader
+	K          int `json:"k"`
+	FixedTheta int `json:"fixedTheta"`
 	// Theta sums the RR-set budgets over the sandwich candidates of the
 	// cold solve (the dataset GAPs need a lower and an upper collection).
 	Theta int `json:"theta"`
@@ -51,25 +45,9 @@ type restoreBenchRecord struct {
 // runRestoreBench measures cold solve vs restore+warm solve through the
 // full persistent-state path, exactly what a deploy restart does.
 func runRestoreBench(cfg experiments.Config) (*restoreBenchRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
+	s, err := newBenchSetup("restore", cfg, 10)
 	if err != nil {
 		return nil, err
-	}
-	k := cfg.K
-	if k <= 0 {
-		k = 10
-	}
-	theta := cfg.FixedTheta
-	if theta <= 0 {
-		theta = 20000
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
 	}
 	dir, err := os.MkdirTemp("", "comic-restore-bench-*")
 	if err != nil {
@@ -79,34 +57,21 @@ func runRestoreBench(cfg experiments.Config) (*restoreBenchRecord, error) {
 	defer os.RemoveAll(dir)
 
 	sCfg := server.Config{
-		Datasets: map[string]*comic.Dataset{name: d},
-		MaxK:     max(500, k),
+		Datasets: map[string]*comic.Dataset{s.Dataset: s.d},
+		MaxK:     max(500, s.k),
 		StateDir: dir,
 	}
 	body := fmt.Sprintf(`{"dataset":%q,"k":%d,"seedsB":[1,2,3],"fixedTheta":%d,"evalRuns":%d,"seed":%d}`,
-		name, k, theta, mc, cfg.Seed)
-	solve := func(s *server.Server) (*solveRespRecord, error) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/selfinfmax", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("/v1/selfinfmax = %d: %s", rec.Code, rec.Body.String())
+		s.Dataset, s.k, s.theta, s.mc, cfg.Seed)
+	solve := func(srv *server.Server) (*solveRespRecord, error) {
+		data, perr := post(srv, "/v1/selfinfmax", body)
+		if perr != nil {
+			return nil, perr
 		}
 		var out solveRespRecord
-		if uerr := json.Unmarshal(rec.Body.Bytes(), &out); uerr != nil {
-			return nil, uerr
-		}
-		return &out, nil
+		return &out, json.Unmarshal(data, &out)
 	}
-
-	rec := &restoreBenchRecord{
-		Experiment: "restore",
-		Dataset:    name,
-		Scale:      cfg.Scale,
-		K:          k,
-		Seed:       cfg.Seed,
-		FixedTheta: theta,
-	}
+	rec := &restoreBenchRecord{benchHeader: s.benchHeader, K: s.k, FixedTheta: s.theta}
 
 	// Cold solve on the fresh stateful server.
 	s1, err := server.New(sCfg)
@@ -155,7 +120,7 @@ func runRestoreBench(cfg experiments.Config) (*restoreBenchRecord, error) {
 	rec.WarmBuilds = st.Misses
 
 	// The contract this benchmark exists to enforce.
-	if fmt.Sprint(warm.Seeds) != fmt.Sprint(cold.Seeds) {
+	if !slices.Equal(warm.Seeds, cold.Seeds) {
 		return nil, fmt.Errorf("restored seeds %v diverged from cold seeds %v", warm.Seeds, cold.Seeds)
 	}
 	if rec.WarmBuilds != 0 {
@@ -168,35 +133,12 @@ func runRestoreBench(cfg experiments.Config) (*restoreBenchRecord, error) {
 	return rec, nil
 }
 
-// solveRespRecord is the slice of a solve response the benchmarks consume.
-type solveRespRecord struct {
-	Seeds      []int32 `json:"seeds"`
-	Candidates []struct {
-		Theta int `json:"theta"`
-	} `json:"candidates"`
-}
-
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *restoreBenchRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "restore benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
-		r.Dataset, r.Scale, r.K, r.FixedTheta, r.Seed)
-	printf(w, &werr, "  cold solve %v; snapshot save %v\n", time.Duration(r.ColdNs), time.Duration(r.SaveNs))
-	printf(w, &werr, "  restart restore %v (%d collections, %d bytes); warm solve %v, %d builds\n",
-		time.Duration(r.RestoreNs), r.RestoredCollections, r.RestoredBytes, time.Duration(r.WarmNs), r.WarmBuilds)
-	printf(w, &werr, "  cold vs restore+warm: %.1fx\n",
-		float64(r.ColdNs)/float64(r.RestoreNs+r.WarmNs))
-	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+func (r *restoreBenchRecord) summary() string {
+	return fmt.Sprintf("restore benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
+		r.Dataset, r.Scale, r.K, r.FixedTheta, r.Seed) +
+		fmt.Sprintf("  cold solve %v; snapshot save %v\n", time.Duration(r.ColdNs), time.Duration(r.SaveNs)) +
+		fmt.Sprintf("  restart restore %v (%d collections, %d bytes); warm solve %v, %d builds\n",
+			time.Duration(r.RestoreNs), r.RestoredCollections, r.RestoredBytes, time.Duration(r.WarmNs), r.WarmBuilds) +
+		fmt.Sprintf("  cold vs restore+warm: %.1fx\n", float64(r.ColdNs)/float64(r.RestoreNs+r.WarmNs)) +
+		fmt.Sprintf("  seeds %v\n", r.Seeds)
 }

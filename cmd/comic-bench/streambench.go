@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,14 +23,11 @@ import (
 // to a cold rebuild, drifts in dirtiness, or falls back cannot land
 // without rewriting this file.
 type streamRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	Seed       uint64  `json:"seed"`
-	Epsilon    float64 `json:"epsilon"`
-	K          int     `json:"k"`
-	Nodes      int     `json:"nodes"`
-	Edges      int     `json:"edges"`
+	benchHeader
+	Epsilon float64 `json:"epsilon"`
+	K       int     `json:"k"`
+	Nodes   int     `json:"nodes"`
+	Edges   int     `json:"edges"`
 	// The update batch: the 1% of edges with the smallest influence
 	// probabilities — the in-edges of high-degree hubs under WC-style
 	// weighting, the edges whose weight re-estimates stream in fastest —
@@ -124,14 +119,8 @@ func collectionsIdentical(got, want *rrset.Collection) error {
 			return fmt.Errorf("set %d root/width %d/%d != %d/%d",
 				i, got.Root(i), got.Width(i), want.Root(i), want.Width(i))
 		}
-		a, b := got.NodesOf(i), want.NodesOf(i)
-		if len(a) != len(b) {
-			return fmt.Errorf("set %d has %d nodes, want %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return fmt.Errorf("set %d node[%d] = %d != %d", i, j, a[j], b[j])
-			}
+		if !slices.Equal(got.NodesOf(i), want.NodesOf(i)) {
+			return fmt.Errorf("set %d nodes %v != %v", i, got.NodesOf(i), want.NodesOf(i))
 		}
 	}
 	gp, wp := got.PostingsIndex(), want.PostingsIndex()
@@ -139,48 +128,12 @@ func collectionsIdentical(got, want *rrset.Collection) error {
 		return fmt.Errorf("postings presence %v != %v", gp != nil, wp != nil)
 	}
 	if gp != nil {
-		if !slicesEq64(gp.EdgeOff, wp.EdgeOff) || !slicesEq64(gp.NodeOff, wp.NodeOff) ||
-			!slicesEq32(gp.Nodes, wp.Nodes) || !slicesEqU32(gp.Edges, wp.Edges) {
+		if !slices.Equal(gp.EdgeOff, wp.EdgeOff) || !slices.Equal(gp.NodeOff, wp.NodeOff) ||
+			!slices.Equal(gp.Nodes, wp.Nodes) || !slices.Equal(gp.Edges, wp.Edges) {
 			return fmt.Errorf("postings diverge")
 		}
 	}
 	return nil
-}
-
-func slicesEq64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func slicesEq32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func slicesEqU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runStreamBench benchmarks incremental RR-set maintenance under a 1%
@@ -192,46 +145,31 @@ func slicesEqU32(a, b []uint32) bool {
 // fails on any divergence, on a dirtiness fraction ≥ 0.2, or on a
 // threshold fallback.
 func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
+	s, err := newBenchSetup("stream", cfg, 10)
 	if err != nil {
 		return nil, err
 	}
-	g := d.Graph
-	k := cfg.K
-	if k <= 0 {
-		k = 10
-	}
-	oppSize := cfg.OppositeSize
-	if oppSize <= 0 {
-		oppSize = 10
-	}
+	g := s.d.Graph
 	rec := &streamRecord{
-		Experiment: "stream",
-		Dataset:    name,
-		Scale:      cfg.Scale,
-		Seed:       cfg.Seed,
-		Epsilon:    cfg.Epsilon,
-		K:          k,
-		Nodes:      g.N(),
-		Edges:      g.M(),
+		benchHeader: s.benchHeader,
+		Epsilon:     cfg.Epsilon,
+		K:           s.k,
+		Nodes:       g.N(),
+		Edges:       g.M(),
 	}
 
 	// RR-SIM requires one-way complementarity (q_B|∅ = q_B|A), the same
 	// bound transformation the serving path's sandwich applies; pin the
 	// GAP the way the warmpath sweep does.
-	gap := d.GAP
+	gap := s.d.GAP
 	gap.QB0 = gap.QBA
 	req := rrset.CollectionRequest{
-		GraphID:  name,
+		GraphID:  s.Dataset,
 		Graph:    g,
 		Kind:     rrset.KindSIM,
 		GAP:      gap,
-		Opposite: comic.HighDegreeSeeds(g, oppSize),
-		K:        k,
+		Opposite: comic.HighDegreeSeeds(g, s.opp),
+		K:        s.k,
 		Opts: rrset.Options{
 			Epsilon:        cfg.Epsilon,
 			FixedTheta:     cfg.FixedTheta,
@@ -252,7 +190,7 @@ func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
 	}
 
 	newReq := req
-	newReq.GraphID = name + "@1"
+	newReq.GraphID = s.Dataset + "@1"
 	newReq.Graph = patched
 
 	// The cold baseline: a from-scratch build on the patched graph.
@@ -294,40 +232,26 @@ func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
 	if st.DirtyFrac >= 0.2 {
 		return nil, fmt.Errorf("1%% batch dirtied %.1f%% of RR sets (threshold 20%%)", 100*st.DirtyFrac)
 	}
-	rec.Seeds, _ = rrset.SelectSeeds(repaired, patched.N(), k)
-	coldSeeds, _ := rrset.SelectSeeds(cold, patched.N(), k)
-	if fmt.Sprint(rec.Seeds) != fmt.Sprint(coldSeeds) {
+	rec.Seeds, _ = rrset.SelectSeeds(repaired, patched.N(), s.k)
+	coldSeeds, _ := rrset.SelectSeeds(cold, patched.N(), s.k)
+	if !slices.Equal(rec.Seeds, coldSeeds) {
 		return nil, fmt.Errorf("post-repair seeds %v != cold-rebuild seeds %v", rec.Seeds, coldSeeds)
 	}
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *streamRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "stream benchmark: %s scale %g (n=%d, m=%d), seed %d\n",
-		r.Dataset, r.Scale, r.Nodes, r.Edges, r.Seed)
-	printf(w, &werr, "  batch: %d reweight-cuts over the smallest-probability (hub) edges\n", r.BatchSize)
-	printf(w, &werr, "  theta %d -> %d; dirty %d (%.2f%%), reused %d, regenerated %d, top-up %d, truncated %d\n",
-		r.OldTheta, r.NewTheta, r.Dirty, 100*r.DirtyFrac, r.Reused, r.Regenerated, r.TopUp, r.Truncated)
+func (r *streamRecord) summary() string {
 	speedup := float64(r.ColdBuildNs) / float64(r.RepairNs)
-	printf(w, &werr, "  cold rebuild %v -> incremental repair %v (%.1fx)\n",
-		time.Duration(r.ColdBuildNs), time.Duration(r.RepairNs), speedup)
+	out := fmt.Sprintf("stream benchmark: %s scale %g (n=%d, m=%d), seed %d\n",
+		r.Dataset, r.Scale, r.Nodes, r.Edges, r.Seed) +
+		fmt.Sprintf("  batch: %d reweight-cuts over the smallest-probability (hub) edges\n", r.BatchSize) +
+		fmt.Sprintf("  theta %d -> %d; dirty %d (%.2f%%), reused %d, regenerated %d, top-up %d, truncated %d\n",
+			r.OldTheta, r.NewTheta, r.Dirty, 100*r.DirtyFrac, r.Reused, r.Regenerated, r.TopUp, r.Truncated) +
+		fmt.Sprintf("  cold rebuild %v -> incremental repair %v (%.1fx)\n",
+			time.Duration(r.ColdBuildNs), time.Duration(r.RepairNs), speedup)
 	if speedup < 10 {
-		printf(w, &werr, "  WARNING: repair speedup below 10x\n")
+		out += "  WARNING: repair speedup below 10x\n"
 	}
-	printf(w, &werr, "  repaired collection bitwise-equal to cold rebuild at workers 1, 2, 7\n")
-	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return out + "  repaired collection bitwise-equal to cold rebuild at workers 1, 2, 7\n" +
+		fmt.Sprintf("  seeds %v\n", r.Seeds)
 }

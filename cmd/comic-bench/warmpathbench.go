@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+	"slices"
 	"time"
 
 	"comic"
@@ -19,12 +17,9 @@ import (
 // k-sweep's selections) so a selection or accounting change can never land
 // silently. Timing keys end in "Ns" and warn-only under -check.
 type warmPathRecord struct {
-	Experiment string  `json:"experiment"`
-	Dataset    string  `json:"dataset"`
-	Scale      float64 `json:"scale"`
-	K          int     `json:"k"`
-	Seed       uint64  `json:"seed"`
-	Epsilon    float64 `json:"epsilon"`
+	benchHeader
+	K       int     `json:"k"`
+	Epsilon float64 `json:"epsilon"`
 	// Theta sums the candidates' RR-set budgets on the derived-θ solve —
 	// the same configuration BENCH_selfinfmax pins.
 	Theta int `json:"theta"`
@@ -57,97 +52,55 @@ type warmPathRecord struct {
 // configuration) and the k-sweep under a fixed θ (the BENCH_batch shape),
 // asserting the CELF prefix-stability contract across the sweep.
 func runWarmPathBench(cfg experiments.Config) (*warmPathRecord, error) {
-	name := "Flixster"
-	if len(cfg.DatasetNames) > 0 {
-		name = cfg.DatasetNames[0]
-	}
-	d, err := comic.DatasetByName(name, cfg.Scale, 1)
+	s, err := newBenchSetup("warmpath", cfg, 10)
 	if err != nil {
 		return nil, err
-	}
-	k := cfg.K
-	if k <= 0 {
-		k = 10
-	}
-	oppSize := cfg.OppositeSize
-	if oppSize <= 0 {
-		oppSize = 10
-	}
-	mc := cfg.MCRuns
-	if mc <= 0 {
-		mc = 1000
-	}
-	seedsB := comic.HighDegreeSeeds(d.Graph, oppSize)
-
-	rec := &warmPathRecord{
-		Experiment: "warmpath",
-		Dataset:    name,
-		Scale:      cfg.Scale,
-		K:          k,
-		Seed:       cfg.Seed,
-		Epsilon:    cfg.Epsilon,
 	}
 
 	// Part 1: identical solve twice, derived θ, shared index.
-	idx := comic.NewRRIndex(0)
-	opts := comic.Options{
-		Epsilon:    cfg.Epsilon,
-		FixedTheta: cfg.FixedTheta,
-		MaxTheta:   cfg.MaxTheta,
-		EvalRuns:   mc,
-		Seed:       cfg.Seed,
-		Index:      idx,
-		GraphID:    name,
-	}
-	t0 := time.Now()
-	cold, err := comic.SelfInfMax(d.Graph, d.GAP, seedsB, k, opts)
+	cw, err := solveColdWarm(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rec.ColdNs = time.Since(t0).Nanoseconds()
-	warm, err := comic.SelfInfMax(d.Graph, d.GAP, seedsB, k, opts)
-	if err != nil {
-		return nil, err
+	st := cw.idx.Stats()
+	rec := &warmPathRecord{
+		benchHeader:  s.benchHeader,
+		K:            s.k,
+		Epsilon:      cfg.Epsilon,
+		ColdNs:       cw.coldNs,
+		WarmSelectNs: cw.warmSelectNs,
+		OrderBytes:   st.OrderBytes,
+		OrderMisses:  st.OrderMisses,
+		OrderHits:    st.OrderHits,
+		Seeds:        cw.cold.Seeds,
 	}
-	for i, c := range warm.Candidates {
-		if cold.Candidates[i].Name != c.Name || fmt.Sprint(cold.Candidates[i].Seeds) != fmt.Sprint(c.Seeds) {
-			return nil, fmt.Errorf("warm candidate %q diverged from cold", c.Name)
-		}
-		if c.Stats != nil {
-			rec.WarmSelectNs += c.Stats.SelectDuration.Nanoseconds()
-		}
-	}
-	for _, c := range cold.Candidates {
+	for _, c := range cw.cold.Candidates {
 		if c.Stats != nil {
 			rec.Theta += c.Stats.Theta
 			rec.OrderBuildNs += c.Stats.SelectDuration.Nanoseconds()
 		}
 	}
-	st := idx.Stats()
-	rec.OrderBytes = st.OrderBytes
-	rec.OrderMisses = st.OrderMisses
-	rec.OrderHits = st.OrderHits
-	rec.Seeds = cold.Seeds
 	if st.OrderMisses != st.Misses {
 		return nil, fmt.Errorf("cold solve built %d collections but %d orderings", st.Misses, st.OrderMisses)
 	}
 
 	// Part 2: the k-sweep, fixed θ, B indifferent to A so every k shares
 	// the one collection — and therefore the one memoized ordering.
-	theta := cfg.FixedTheta
-	if theta <= 0 {
-		theta = 20000
-	}
-	rec.SweepFixedTheta = theta
-	gap := d.GAP
+	rec.SweepFixedTheta = s.theta
+	gap := s.d.GAP
 	gap.QB0 = gap.QBA
 	sweepIdx := comic.NewRRIndex(0)
-	sweepOpts := opts
-	sweepOpts.Epsilon = 0
-	sweepOpts.FixedTheta = theta
-	sweepOpts.Index = sweepIdx
-	for kk := 1; kk <= k; kk++ {
-		res, err := comic.SelfInfMax(d.Graph, gap, seedsB, kk, sweepOpts)
+	sweepOpts := comic.Options{
+		FixedTheta: s.theta,
+		MaxTheta:   cfg.MaxTheta,
+		EvalRuns:   s.mc,
+		Seed:       cfg.Seed,
+		Index:      sweepIdx,
+		GraphID:    s.Dataset,
+	}
+	seedsB := comic.HighDegreeSeeds(s.d.Graph, s.opp)
+	for kk := 1; kk <= s.k; kk++ {
+		res, err := comic.SelfInfMax(s.d.Graph, gap, seedsB, kk, sweepOpts)
 		if err != nil {
 			return nil, fmt.Errorf("sweep k=%d: %w", kk, err)
 		}
@@ -155,9 +108,9 @@ func runWarmPathBench(cfg experiments.Config) (*warmPathRecord, error) {
 	}
 	// CELF prefix stability, observed end to end: each budget's selection
 	// extends the previous one.
-	for kk := 1; kk < k; kk++ {
+	for kk := 1; kk < s.k; kk++ {
 		prev, cur := rec.SweepSeeds[kk-1], rec.SweepSeeds[kk]
-		if fmt.Sprint(prev) != fmt.Sprint(cur[:len(prev)]) {
+		if !slices.Equal(prev, cur[:len(prev)]) {
 			return nil, fmt.Errorf("sweep k=%d seeds %v are not a prefix of k=%d seeds %v",
 				kk, prev, kk+1, cur)
 		}
@@ -173,32 +126,18 @@ func runWarmPathBench(cfg experiments.Config) (*warmPathRecord, error) {
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *warmPathRecord) render(w io.Writer, jsonPath string) error {
-	var werr error
-	printf(w, &werr, "warmpath benchmark: %s scale %g, k=%d, seed %d\n", r.Dataset, r.Scale, r.K, r.Seed)
-	printf(w, &werr, "  theta %d across candidates; cold solve %v\n", r.Theta, time.Duration(r.ColdNs))
-	printf(w, &werr, "  ordering build (cold select) %v -> warm selection %v\n",
-		time.Duration(r.OrderBuildNs), time.Duration(r.WarmSelectNs))
+func (r *warmPathRecord) summary() string {
+	out := fmt.Sprintf("warmpath benchmark: %s scale %g, k=%d, seed %d\n", r.Dataset, r.Scale, r.K, r.Seed) +
+		fmt.Sprintf("  theta %d across candidates; cold solve %v\n", r.Theta, time.Duration(r.ColdNs)) +
+		fmt.Sprintf("  ordering build (cold select) %v -> warm selection %v\n",
+			time.Duration(r.OrderBuildNs), time.Duration(r.WarmSelectNs))
 	if r.WarmSelectNs >= int64(time.Millisecond) {
-		printf(w, &werr, "  WARNING: warm selection above 1ms\n")
+		out += "  WARNING: warm selection above 1ms\n"
 	}
-	printf(w, &werr, "  memoized orderings: %d bytes, %d misses, %d hits\n",
-		r.OrderBytes, r.OrderMisses, r.OrderHits)
-	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	printf(w, &werr, "  k-sweep (theta %d): %d build(s), %d ordering build(s), %d warm slices; seeds(k=%d) %v\n",
-		r.SweepFixedTheta, r.SweepBuilds, r.SweepOrderMisses, r.SweepOrderHits,
-		r.K, r.SweepSeeds[len(r.SweepSeeds)-1])
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return out + fmt.Sprintf("  memoized orderings: %d bytes, %d misses, %d hits\n",
+		r.OrderBytes, r.OrderMisses, r.OrderHits) +
+		fmt.Sprintf("  seeds %v\n", r.Seeds) +
+		fmt.Sprintf("  k-sweep (theta %d): %d build(s), %d ordering build(s), %d warm slices; seeds(k=%d) %v\n",
+			r.SweepFixedTheta, r.SweepBuilds, r.SweepOrderMisses, r.SweepOrderHits,
+			r.K, r.SweepSeeds[len(r.SweepSeeds)-1])
 }
